@@ -19,19 +19,18 @@ use growt_baselines::{
 };
 use growt_core::variants::{UaGrowTsx, UsGrowTsx};
 use growt_core::{
-    Folklore, FolkloreCrc, FolkloreSimd, GrowMap, GrowingStringTable, PaGrow, PsGrow,
-    StringKeyTable, TsxFolklore, UaGrow, UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd,
-    UsGrow,
+    Folklore, FolkloreCrc, FolkloreSimd, GrowMap, PaGrow, PsGrow, StringKeyTable, TsxFolklore,
+    UaGrow, UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow,
 };
-use growt_iface::{capability_row, Capabilities, ConcurrentMap, GenericMap, StringMap};
+use growt_iface::{capability_row, Capabilities, ConcurrentMap, GenericMap};
 use growt_seq::{SeqGrowingTable, SeqTable};
 use growt_workloads::{
     aggregate_driver, deletion_driver, deletion_workload, dense_prefill_keys, find_batch_driver,
     find_driver, generic_aggregate_driver, generic_wordcount_driver, insert_batch_driver,
     insert_driver, mixed_driver, mixed_workload, prefill, uniform_distinct_keys, uniform_keys,
-    update_driver, word_corpus, wordcount_driver, zipf_keys, zipf_mixed_latency_driver,
-    zipf_mixed_workload, Figure, LatencyHistogram, Repetitions, Series, ZipfMixedWorkload,
-    LAT_CLASS_FIND, LAT_CLASS_INSERT, LAT_CLASS_UPDATE,
+    update_driver, word_corpus, zipf_keys, zipf_mixed_latency_driver, zipf_mixed_workload, Figure,
+    LatencyHistogram, Repetitions, Series, ZipfMixedWorkload, LAT_CLASS_FIND, LAT_CLASS_INSERT,
+    LAT_CLASS_UPDATE,
 };
 
 /// Harness configuration (op counts, thread grid, repetitions).
@@ -963,7 +962,8 @@ pub fn probe_points_figure(points: &[ProbePoint]) -> Figure {
 /// One measured point of the word-count sweep (`wordcount`).
 #[derive(Debug, Clone)]
 pub struct WordCountPoint {
-    /// Table implementation name ("stringGrow" or "stringFolklore").
+    /// Figure-row label: "stringGrow" (`GrowMap<String, u64>`) or
+    /// "stringFolklore" (`StringKeyTable`).
     pub table: &'static str,
     /// Number of driver threads.
     pub threads: usize,
@@ -975,7 +975,7 @@ pub struct WordCountPoint {
     pub mops: f64,
 }
 
-fn wordcount_points_for<M: StringMap>(
+fn wordcount_points_for<M: GenericMap<String, u64>>(
     cfg: &HarnessConfig,
     table: &'static str,
     capacity: usize,
@@ -987,7 +987,7 @@ fn wordcount_points_for<M: StringMap>(
         for rep in 0..cfg.reps {
             let corpus = word_corpus(cfg.ops, vocab, cfg.wordcount_zipf, 9_000 + rep as u64);
             let map = M::with_capacity(capacity);
-            reps.push(wordcount_driver(&map, &corpus, p));
+            reps.push(generic_wordcount_driver(&map, &corpus, p));
         }
         points.push(WordCountPoint {
             table,
@@ -999,15 +999,15 @@ fn wordcount_points_for<M: StringMap>(
     }
 }
 
-/// The word-count sweep: `insert_or_add(word, 1)` over a Zipf-distributed
-/// word stream (the aggregation use case of the paper's introduction, on
-/// string keys via §5.7), across the configured thread grid, for the
-/// growing string table (started at the standard tiny initial capacity so
-/// the run crosses several migrations) and the bounded string baseline
-/// (pre-sized to the vocabulary).
+/// The word-count sweep: `insert_or_update(word, 1, +1)` over a
+/// Zipf-distributed word stream (the aggregation use case of the paper's
+/// introduction, on string keys via §5.7), across the configured thread
+/// grid, for the growing `GrowMap<String, u64>` (started at the standard
+/// tiny initial capacity so the run crosses several migrations) and the
+/// bounded string baseline (pre-sized to the vocabulary).
 pub fn wordcount_points(cfg: &HarnessConfig) -> Vec<WordCountPoint> {
     let mut points = Vec::new();
-    wordcount_points_for::<GrowingStringTable>(cfg, "stringGrow", GROWING_INITIAL, &mut points);
+    wordcount_points_for::<GrowMap<String, u64>>(cfg, "stringGrow", GROWING_INITIAL, &mut points);
     wordcount_points_for::<StringKeyTable>(
         cfg,
         "stringFolklore",
@@ -1051,30 +1051,29 @@ pub fn wordcount_points_block(cfg: &HarnessConfig, points: &[WordCountPoint]) ->
 /// One measured point of the typed-facade sweep (`typed`).
 #[derive(Debug, Clone)]
 pub struct TypedPoint {
-    /// Table implementation name ("uaGrow", "growMap", "stringGrow" or
-    /// "growMapString").
+    /// Table implementation name ("uaGrow" or "growMap").
     pub table: &'static str,
-    /// Workload name ("aggregate-u64" or "wordcount-string").
-    pub workload: &'static str,
     /// Number of driver threads.
     pub threads: usize,
     /// Mean aggregation throughput over the repetitions, in MOps/s.
     pub mops: f64,
 }
 
-/// The typed-facade sweep: the same Zipf aggregation workloads driven
-/// through the specialized interfaces and through `GrowMap`'s generic
-/// one, across the configured thread grid, all tables started at the
-/// standard tiny growing capacity so every run crosses migrations.
+/// The one workload of the typed-facade sweep.
+const TYPED_WORKLOAD: &str = "aggregate-u64";
+
+/// The typed-facade sweep: the same Zipf aggregation workload driven
+/// through the specialized word interface and through `GrowMap`'s
+/// generic one, across the configured thread grid, both tables started
+/// at the standard tiny growing capacity so every run crosses migrations.
 ///
-/// * `aggregate-u64` — `insert_or_increment` on [`UaGrow`] versus
-///   `insert_or_update(+1)` on `GrowMap<u64, u64>`.  The inline/inline
-///   instantiation compiles to the same cell operations as the word
-///   table, so the two curves should coincide (within noise) — the
-///   "abstraction costs nothing" claim of DESIGN.md §14, measured.
-/// * `wordcount-string` — `insert_or_add` on [`GrowingStringTable`]
-///   versus `insert_or_update(+1)` on `GrowMap<String, u64>`; both pack
-///   key references, the generic map through `KeyBox<String>`.
+/// `aggregate-u64` is `insert_or_increment` on [`UaGrow`] versus
+/// `insert_or_update(+1)` on `GrowMap<u64, u64>`.  The inline/inline
+/// instantiation compiles to the same cell operations as the word table,
+/// so the two curves should coincide (within noise) — the "abstraction
+/// costs nothing" claim of DESIGN.md §14, measured.  The string workload
+/// has no second table to compare: the growing string table *is*
+/// `GrowMap<String, u64>` (the `wordcount` figure's `stringGrow` row).
 pub fn typed_points(cfg: &HarnessConfig) -> Vec<TypedPoint> {
     let mut points = Vec::new();
     let universe = (cfg.ops / 10).max(64) as u64;
@@ -1090,37 +1089,11 @@ pub fn typed_points(cfg: &HarnessConfig) -> Vec<TypedPoint> {
         }
         points.push(TypedPoint {
             table: "uaGrow",
-            workload: "aggregate-u64",
             threads: p,
             mops: ua.mean_mops(),
         });
         points.push(TypedPoint {
             table: "growMap",
-            workload: "aggregate-u64",
-            threads: p,
-            mops: generic.mean_mops(),
-        });
-    }
-    let vocab = cfg.wordcount_vocab.max(1);
-    for &p in &cfg.threads {
-        let mut string_grow = Repetitions::new();
-        let mut generic = Repetitions::new();
-        for rep in 0..cfg.reps {
-            let corpus = word_corpus(cfg.ops, vocab, cfg.wordcount_zipf, 12_000 + rep as u64);
-            let table = GrowingStringTable::with_capacity(GROWING_INITIAL);
-            string_grow.push(wordcount_driver(&table, &corpus, p));
-            let map: GrowMap<String, u64> = GrowMap::with_capacity(GROWING_INITIAL);
-            generic.push(generic_wordcount_driver(&map, &corpus, p));
-        }
-        points.push(TypedPoint {
-            table: "stringGrow",
-            workload: "wordcount-string",
-            threads: p,
-            mops: string_grow.mean_mops(),
-        });
-        points.push(TypedPoint {
-            table: "growMapString",
-            workload: "wordcount-string",
             threads: p,
             mops: generic.mean_mops(),
         });
@@ -1129,11 +1102,11 @@ pub fn typed_points(cfg: &HarnessConfig) -> Vec<TypedPoint> {
 }
 
 /// Render the typed-facade sweep as a [`Figure`] (x axis = threads, one
-/// series per workload/table pair).
+/// series per table, labelled `aggregate-u64/<table>`).
 pub fn typed_figure(points: &[TypedPoint]) -> Figure {
     let mut fig = Figure::new("typed-generic-map", "threads");
     for point in points {
-        let label = format!("{}/{}", point.workload, point.table);
+        let label = format!("{TYPED_WORKLOAD}/{}", point.table);
         push_series_point(&mut fig, label, point.threads as f64, point.mops);
     }
     fig
@@ -1147,7 +1120,7 @@ pub fn typed_points_block(cfg: &HarnessConfig, points: &[TypedPoint]) -> String 
         .map(|p| {
             format!(
                 "{{\"table\": \"{}\", \"workload\": \"{}\", \"threads\": {}, \"mops\": {:.3}}}",
-                p.table, p.workload, p.threads, p.mops
+                p.table, TYPED_WORKLOAD, p.threads, p.mops
             )
         })
         .collect();
@@ -1814,17 +1787,17 @@ mod tests {
         let mut cfg = smoke_config();
         cfg.ops = 10_000;
         let points = typed_points(&cfg);
-        // 2 workloads × 2 tables × |threads| points.
-        assert_eq!(points.len(), 4 * cfg.threads.len());
+        // 2 tables × |threads| points.
+        assert_eq!(points.len(), 2 * cfg.threads.len());
         assert!(points.iter().all(|p| p.mops > 0.0));
-        for table in ["uaGrow", "growMap", "stringGrow", "growMapString"] {
+        for table in ["uaGrow", "growMap"] {
             assert!(
                 points.iter().any(|p| p.table == table),
                 "missing {table} series"
             );
         }
         let fig = typed_figure(&points);
-        assert_eq!(fig.series.len(), 4);
+        assert_eq!(fig.series.len(), 2);
         assert!(fig
             .series
             .iter()
@@ -1859,7 +1832,7 @@ mod tests {
             );
         }
         assert!(merged.contains("\"figure\": \"typed\""));
-        assert!(merged.contains("\"table\": \"growMapString\""));
+        assert!(merged.contains("\"table\": \"growMap\""));
         assert_eq!(merged.matches('{').count(), merged.matches('}').count());
     }
 

@@ -11,7 +11,7 @@
 //!
 //! Probes spin out the (very short) `INFLIGHT` window, so a published key
 //! reference always carries its initialized value: `find` can never
-//! return an unpublished `0`, and a concurrent `fetch_add` can never land
+//! return an unpublished `0`, and a concurrent `update` can never land
 //! between an inserter's key CAS and its value store (the lost-delta race
 //! of the previous revision, where the key was published *first* and the
 //! value written *after*).
@@ -26,12 +26,12 @@
 //!
 //! Deletion writes a tombstone over the key reference; the key allocation
 //! is pushed onto a deferred-free list released when the table is dropped
-//! (the bounded baseline has no migrations to fold reclamation into — the
-//! growing table defers frees to a QSBR domain instead).
+//! (the bounded baseline has no migrations to fold reclamation into —
+//! `GrowMap<String, u64>` defers frees to a QSBR domain instead).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use growt_iface::{InsertOrUpdate, StringMap, StringMapHandle};
+use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate};
 use parking_lot::Mutex;
 
 use growt_iface::inflight::{load_published_key, publish_key, INFLIGHT, REPAIRED_TOMBSTONE};
@@ -99,8 +99,8 @@ impl StringKeyTable {
     /// present (the allocation is released again in that case) **or** if
     /// the probe found no empty cell — the bounded baseline never reuses
     /// tombstones, so every insert+erase cycle consumes one cell for
-    /// good; [`StringKeyTable::insert_or_add`] turns the full-table case
-    /// into a panic instead of looping.
+    /// good; [`StringKeyTable::insert_or_update`] turns the full-table
+    /// case into a panic instead of looping.
     pub fn insert(&self, key: &str, value: u64) -> bool {
         self.try_insert(key, value) == TryInsert::Inserted
     }
@@ -129,7 +129,7 @@ impl StringKeyTable {
                 loop {
                     let current = load_published_key(&cell.keyref);
                     if current == EMPTY {
-                        let ptr = *allocation.0.get_or_insert_with(|| allocate_key(key, hash));
+                        let ptr = *allocation.0.get_or_insert_with(|| allocate_key(key));
                         let packed = pack_keyref(signature, ptr);
                         match cell.keyref.compare_exchange(
                             EMPTY,
@@ -199,13 +199,12 @@ impl StringKeyTable {
         None
     }
 
-    /// Atomically add `delta` to the value of `key` (the aggregation use
-    /// case of the paper's introduction, with string keys); returns the
-    /// previous value.  Safe against concurrent insertion of the same key:
-    /// the key reference only becomes visible after its value is
-    /// initialized, so the add can never be overwritten by a late value
-    /// store.
-    pub fn fetch_add(&self, key: &str, delta: u64) -> Option<u64> {
+    /// Atomically replace the value of `key` by `up(current)` (a CAS
+    /// loop on the value word); returns whether the key was present.
+    /// Safe against concurrent insertion of the same key: the key
+    /// reference only becomes visible after its value is initialized, so
+    /// the update can never be overwritten by a late value store.
+    pub fn update(&self, key: &str, up: impl Fn(&u64) -> u64) -> bool {
         let hash = hash_str(key);
         let signature = signature_of(hash);
         let mut index = scale_to_capacity(hash, self.capacity);
@@ -213,72 +212,83 @@ impl StringKeyTable {
             let cell = &self.cells[index];
             let current = load_published_key(&cell.keyref);
             if current == EMPTY {
-                return None;
+                return false;
             }
             // SAFETY: published references stay alive until drop.
             if current != TOMBSTONE && unsafe { key_matches(current, signature, key) } {
-                let old = cell.value.fetch_add(delta, Ordering::AcqRel);
-                if cell.keyref.load(Ordering::Acquire) == current {
-                    return Some(old);
+                let mut old = cell.value.load(Ordering::Acquire);
+                while let Err(seen) = cell.value.compare_exchange_weak(
+                    old,
+                    up(&old),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    old = seen;
                 }
-                // A racing erase tombstoned the cell around the add: the
-                // delta landed in a value word nobody will ever read
-                // again (tombstoned cells are skipped and never
-                // revived).  The key word only transitions
+                // A racing erase may have tombstoned the cell around the
+                // update: the new value then sits in a value word nobody
+                // will ever read again (tombstoned cells are skipped and
+                // never revived).  The key word only transitions
                 // published → TOMBSTONE, so the re-read is conclusive;
-                // linearize the add *after* the erase instead and report
-                // the key as absent, so `insert_or_add` re-applies the
-                // delta — no interleaving loses it.
-                return None;
+                // linearize the update *after* the erase instead and
+                // report the key as absent, so `insert_or_update`
+                // re-applies it — no interleaving loses it.
+                return cell.keyref.load(Ordering::Acquire) == current;
             }
             index = (index + 1) & (self.capacity - 1);
         }
-        None
+        false
     }
 
-    /// Insert the key with `delta` or add `delta` to the existing value;
-    /// returns whether a new element was inserted.  Loops until the delta
-    /// is applied exactly once (a concurrent erase between a failed add
-    /// and a failed insert restarts the attempt).
+    /// Insert `⟨key, value⟩` or replace the existing value by
+    /// `up(current)`; returns whether a new element was inserted.  Loops
+    /// until exactly one of the two is applied (a concurrent erase
+    /// between a failed update and a failed insert restarts the attempt).
     ///
     /// # Panics
     ///
     /// When the probe finds neither the key nor an empty cell — the
     /// bounded baseline never reuses tombstones, so a workload that
     /// erases and reinserts eventually exhausts the fixed capacity.
-    /// Failing loudly beats both silently dropping the delta (the old
-    /// behaviour) and retrying forever; size the table for the total
-    /// number of *insertions*, or use the growing table, whose cleanup
+    /// Failing loudly beats both silently dropping the update and
+    /// retrying forever; size the table for the total number of
+    /// *insertions*, or use `GrowMap<String, u64>`, whose cleanup
     /// migrations reclaim tombstones.
-    pub fn insert_or_add(&self, key: &str, delta: u64) -> InsertOrUpdate {
-        match self.try_insert_or_add(key, delta) {
+    pub fn insert_or_update(
+        &self,
+        key: &str,
+        value: u64,
+        up: impl Fn(&u64) -> u64,
+    ) -> InsertOrUpdate {
+        match self.try_insert_or_update(key, value, up) {
             Ok(outcome) => outcome,
             Err(growt_iface::TableFull) => panic!(
                 "StringKeyTable is full ({} cells, tombstones included): \
-                 cannot apply insert_or_add",
+                 cannot apply insert_or_update",
                 self.capacity
             ),
         }
     }
 
-    /// Fallible [`StringKeyTable::insert_or_add`]: returns
+    /// Fallible [`StringKeyTable::insert_or_update`]: returns
     /// `Err(TableFull)` instead of panicking when the probe finds neither
     /// the key nor an empty cell, so callers that can shed load (or
-    /// switch to a bigger table) get to decide.  The delta is *not*
-    /// applied on error.
-    pub fn try_insert_or_add(
+    /// switch to a bigger table) get to decide.  Nothing is applied on
+    /// error.
+    pub fn try_insert_or_update(
         &self,
         key: &str,
-        delta: u64,
+        value: u64,
+        up: impl Fn(&u64) -> u64,
     ) -> Result<InsertOrUpdate, growt_iface::TableFull> {
         loop {
-            if self.fetch_add(key, delta).is_some() {
+            if self.update(key, &up) {
                 return Ok(InsertOrUpdate::Updated);
             }
-            match self.try_insert(key, delta) {
+            match self.try_insert(key, value) {
                 TryInsert::Inserted => return Ok(InsertOrUpdate::Inserted),
-                // The key appeared between the failed add and the insert
-                // probe (or was erased mid-add): retry the add.
+                // The key appeared between the failed update and the
+                // insert probe (or was erased mid-update): retry.
                 TryInsert::Present => continue,
                 TryInsert::Full => return Err(growt_iface::TableFull),
             }
@@ -360,7 +370,7 @@ pub struct StringKeyHandle<'a> {
     table: &'a StringKeyTable,
 }
 
-impl StringMap for StringKeyTable {
+impl GenericMap<String, u64> for StringKeyTable {
     type Handle<'a> = StringKeyHandle<'a>;
 
     fn with_capacity(capacity: usize) -> Self {
@@ -376,34 +386,40 @@ impl StringMap for StringKeyTable {
     }
 }
 
-impl StringMapHandle for StringKeyHandle<'_> {
-    fn insert(&mut self, key: &str, value: u64) -> bool {
-        self.table.insert(key, value)
+impl GenericMapHandle<String, u64> for StringKeyHandle<'_> {
+    fn insert(&mut self, key: &String, value: &u64) -> bool {
+        self.table.insert(key, *value)
     }
 
-    fn find(&mut self, key: &str) -> Option<u64> {
+    fn find(&mut self, key: &String) -> Option<u64> {
         self.table.find(key)
     }
 
-    fn fetch_add(&mut self, key: &str, delta: u64) -> Option<u64> {
-        self.table.fetch_add(key, delta)
+    fn update(&mut self, key: &String, up: &dyn Fn(&u64) -> u64) -> bool {
+        self.table.update(key, up)
     }
 
-    fn insert_or_add(&mut self, key: &str, delta: u64) -> InsertOrUpdate {
-        self.table.insert_or_add(key, delta)
-    }
-
-    fn try_insert_or_add(
+    fn insert_or_update(
         &mut self,
-        key: &str,
-        delta: u64,
+        key: &String,
+        value: &u64,
+        up: &dyn Fn(&u64) -> u64,
+    ) -> InsertOrUpdate {
+        self.table.insert_or_update(key, *value, up)
+    }
+
+    fn try_insert_or_update(
+        &mut self,
+        key: &String,
+        value: &u64,
+        up: &dyn Fn(&u64) -> u64,
     ) -> Result<InsertOrUpdate, growt_iface::TryGrowError> {
         self.table
-            .try_insert_or_add(key, delta)
+            .try_insert_or_update(key, *value, up)
             .map_err(|growt_iface::TableFull| growt_iface::TryGrowError)
     }
 
-    fn erase(&mut self, key: &str) -> bool {
+    fn erase(&mut self, key: &String) -> bool {
         self.table.erase(key)
     }
 
@@ -462,7 +478,7 @@ mod tests {
                 let t = Arc::clone(&t);
                 s.spawn(move || {
                     for i in 0..8_000usize {
-                        t.insert_or_add(words[i % words.len()], 1);
+                        t.insert_or_update(words[i % words.len()], 1, |c| c + 1);
                     }
                 });
             }
@@ -476,10 +492,10 @@ mod tests {
     fn racing_insert_or_add_never_loses_a_delta() {
         // Regression test for the publication race of the previous
         // revision: `insert` CASed the packed key reference into the cell
-        // FIRST and stored the value AFTER, so a concurrent `fetch_add`
-        // racing that window added its delta to the transient 0 and was
-        // then silently overwritten by the inserter's late value store.
-        // With two threads hammering `insert_or_add` on a fresh key per
+        // FIRST and stored the value AFTER, so a concurrent update racing
+        // that window added its delta to the transient 0 and was then
+        // silently overwritten by the inserter's late value store.
+        // With two threads hammering `insert_or_update` on a fresh key per
         // round, the old code loses a delta within a few thousand rounds;
         // the INFLIGHT publication order makes the loss impossible.
         for round in 0..4_000u32 {
@@ -490,7 +506,7 @@ mod tests {
                     let t = &t;
                     let key = key.as_str();
                     s.spawn(move || {
-                        t.insert_or_add(key, 1);
+                        t.insert_or_update(key, 1, |c| c + 1);
                     });
                 }
             });
@@ -548,14 +564,14 @@ mod tests {
         // Reinsertion lands in a fresh cell (tombstones are not reused).
         assert!(t.insert("a", 10));
         assert_eq!(t.find("a"), Some(10));
-        assert_eq!(t.fetch_add("a", 5), Some(10));
+        assert!(t.update("a", |v| v + 5));
         assert_eq!(t.find("a"), Some(15));
     }
 
     #[test]
     fn insert_or_add_panics_instead_of_livelocking_on_a_full_table() {
         // Tombstones are never reused, so insert+erase cycles consume the
-        // fixed capacity for good; insert_or_add must then fail loudly
+        // fixed capacity for good; insert_or_update must then fail loudly
         // rather than retry forever (the pre-fix loop spun indefinitely).
         let t = StringKeyTable::with_capacity(4);
         let cells = t.capacity();
@@ -565,7 +581,7 @@ mod tests {
         }
         assert_eq!(t.len_scan(), 0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.insert_or_add("does-not-fit", 1);
+            t.insert_or_update("does-not-fit", 1, |c| c + 1);
         }));
         assert!(result.is_err(), "full table must panic, not hang");
     }

@@ -7,23 +7,24 @@
 //! hash function — into the unused high bits of the pointer, so that most
 //! failed comparisons are decided without dereferencing.
 //!
-//! Two concrete tables make that outline real for string keys:
+//! This module holds that packing — shared by both string-keyed tables —
+//! and the bounded one:
 //!
 //! * [`StringKeyTable`] — a **bounded** lock-free linear-probing table
-//!   (the folklore baseline of the complex-key world).  Its cells are two
-//!   separate atomic words, so insertion publishes with the folly-style
-//!   `INFLIGHT` discipline: the value is written *before* the key
-//!   reference becomes visible, and probes spin out the (very short)
-//!   in-flight window.  A `find` can therefore never observe an
-//!   unpublished value and a concurrent `fetch_add` can never lose its
-//!   delta to a late value store.
-//! * [`GrowingStringTable`] — the growing, deleting subsystem: 16-byte
-//!   [`crate::cell::Cell`]s (key reference + counter) published with one
-//!   double-word CAS, transparent growth through mark-frozen rehash
-//!   migrations that re-derive each cell from the master hash stored in
-//!   the key allocation, and deletion whose key-allocation free is
-//!   deferred to a QSBR domain ([`growt_reclaim::QsbrDomain`]) so no
-//!   concurrent reader can dereference freed key bytes.
+//!   (the folklore baseline of the complex-key world, `stringFolklore`).
+//!   Its cells are two separate atomic words, so insertion publishes with
+//!   the folly-style `INFLIGHT` discipline: the value is written *before*
+//!   the key reference becomes visible, and probes spin out the (very
+//!   short) in-flight window.  A `find` can therefore never observe an
+//!   unpublished value and a concurrent `update` can never lose its
+//!   result to a late value store.
+//! * The growing, deleting string table is
+//!   [`crate::generic::GrowMap`]`<String, u64>`: its keys live in
+//!   `KeyBox<String>` allocations behind the same packed reference, its
+//!   cells are published with one double-word CAS, it grows through the
+//!   shared §12 coordinator, and erased keys are freed through a QSBR
+//!   domain ([`growt_reclaim::QsbrDomain`]) so no concurrent reader can
+//!   dereference freed key bytes.
 //!
 //! ## Key reference layout
 //!
@@ -33,23 +34,20 @@
 //!   AArch64 user-space pointers fit in 48 bits; asserted on allocation);
 //! * bits 48..63 — a 15-bit signature taken from the master hash, never 0
 //!   so a published word is always `≥ 2⁴⁸`;
-//! * bit 63 — kept clear, so the growing table can reuse the word-table
+//! * bit 63 — kept clear, so `GrowMap` can reuse the word-table
 //!   sentinels unchanged: [`crate::cell::EMPTY_KEY`],
 //!   [`crate::cell::DEL_KEY`] and the migration [`crate::cell::MARK_BIT`]
 //!   all live outside the packed range.
 //!
-//! The key allocation itself is a length-prefixed byte buffer that also
-//! stores the full 64-bit master hash: `⟨hash: u64, len: u64, bytes⟩`.
-//! Storing the hash is what lets a migration *re-derive the target cell*
-//! of a reference without re-hashing (or even reading) the string bytes,
-//! and lets probes skip the byte comparison whenever the signature
-//! already disagrees.
+//! [`StringKeyTable`]'s key allocation is a length-prefixed byte buffer
+//! `⟨len: u64, bytes⟩`; `GrowMap`'s `KeyBox` additionally stores the full
+//! master hash, which is what lets a migration *re-derive the target
+//! cell* of a reference without re-hashing the key.  Probes skip the byte
+//! comparison whenever the signature already disagrees.
 
 mod bounded;
-mod growing;
 
 pub use bounded::StringKeyTable;
-pub use growing::{GrowingStringTable, StringHandle, StringMigrationStats};
 
 /// Number of low bits of a packed key word that hold the pointer.
 pub(crate) const POINTER_BITS: u32 = 48;
@@ -59,9 +57,8 @@ const SIGNATURE_MASK: u64 = 0x7FFF;
 
 /// FNV-1a over the key bytes: cheap, stable, and good enough to spread
 /// string keys.  This is the **master hash** of §5.7: the scaled top bits
-/// choose the cell, the low bits provide the signature, and the full
-/// value is stored in the key allocation so migrations can re-derive the
-/// cell without touching the string bytes.
+/// choose the cell and the low bits provide the signature.  `KeyRepr for
+/// String` hashes with it too, so both string tables place a key alike.
 pub(crate) fn hash_str(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.as_bytes() {
@@ -97,25 +94,24 @@ pub(crate) fn decode_keyref(keyref: u64) -> (u64, *const u8) {
     (keyref >> POINTER_BITS, (keyref & POINTER_MASK) as *const u8)
 }
 
-/// Allocate a key as a `⟨hash, len, bytes⟩` buffer and leak it; the raw
-/// pointer is what gets packed into the table.  Freed with [`free_key`].
-fn allocate_key(key: &str, hash: u64) -> *const u8 {
-    let mut buf = Vec::with_capacity(16 + key.len());
-    buf.extend_from_slice(&hash.to_le_bytes());
+/// Allocate a key as a `⟨len, bytes⟩` buffer and leak it; the raw pointer
+/// is what gets packed into the table.  Freed with [`free_key`].
+fn allocate_key(key: &str) -> *const u8 {
+    let mut buf = Vec::with_capacity(8 + key.len());
     buf.extend_from_slice(&(key.len() as u64).to_le_bytes());
     buf.extend_from_slice(key.as_bytes());
     let boxed: Box<[u8]> = buf.into_boxed_slice();
     Box::into_raw(boxed) as *const u8
 }
 
-/// Master hash stored in the allocation header.
+/// Key length stored in the allocation header.
 ///
 /// # Safety
 ///
 /// `ptr` must come from [`allocate_key`] and not have been freed.
 #[inline]
-unsafe fn stored_hash(ptr: *const u8) -> u64 {
-    unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) }
+unsafe fn stored_len(ptr: *const u8) -> usize {
+    unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) as usize }
 }
 
 /// Key bytes stored in the allocation.
@@ -126,10 +122,7 @@ unsafe fn stored_hash(ptr: *const u8) -> u64 {
 /// returned slice must not outlive the allocation.
 #[inline]
 unsafe fn stored_bytes<'a>(ptr: *const u8) -> &'a [u8] {
-    unsafe {
-        let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
-        std::slice::from_raw_parts(ptr.add(16), len)
-    }
+    unsafe { std::slice::from_raw_parts(ptr.add(8), stored_len(ptr)) }
 }
 
 /// Compare the stored key behind a packed word against `key`, using the
@@ -153,30 +146,12 @@ unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
 /// # Safety
 ///
 /// `ptr` must come from [`allocate_key`], must not have been freed, and no
-/// other thread may still dereference it (which is exactly what the
-/// growing table's QSBR domain guarantees before calling this).
+/// other thread may still dereference it (the bounded table frees only on
+/// drop).
 unsafe fn free_key(ptr: *const u8) {
     unsafe {
-        let len = u64::from_le_bytes(std::ptr::read(ptr.add(8) as *const [u8; 8])) as usize;
-        let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, len + 16);
+        let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, stored_len(ptr) + 8);
         drop(Box::from_raw(slice));
-    }
-}
-
-/// Owning wrapper of one key allocation: dropping it frees the buffer.
-/// This is what gets retired into the QSBR domain on deletion — dropping
-/// the deferred object (whether through reclamation or domain teardown)
-/// releases the memory exactly once.
-struct KeyAllocation(*const u8);
-
-// SAFETY: the allocation is plain heap memory; the wrapper is only ever
-// dropped when no thread can still dereference the pointer.
-unsafe impl Send for KeyAllocation {}
-
-impl Drop for KeyAllocation {
-    fn drop(&mut self) {
-        // SAFETY: by construction the wrapper holds the only free right.
-        unsafe { free_key(self.0) };
     }
 }
 
@@ -186,9 +161,8 @@ mod tests {
 
     #[test]
     fn pack_round_trips_and_stays_unmarked() {
-        let hash = hash_str("round-trip");
-        let ptr = allocate_key("round-trip", hash);
-        let sig = signature_of(hash);
+        let ptr = allocate_key("round-trip");
+        let sig = signature_of(hash_str("round-trip"));
         let packed = pack_keyref(sig, ptr);
         assert!(packed >= 1 << POINTER_BITS, "packed word below 2^48");
         assert_eq!(packed & crate::cell::MARK_BIT, 0, "mark bit must be clear");
@@ -197,7 +171,6 @@ mod tests {
         assert_eq!(p2, ptr);
         // SAFETY: freshly allocated above, freed exactly once below.
         unsafe {
-            assert_eq!(stored_hash(ptr), hash);
             assert_eq!(stored_bytes(ptr), "round-trip".as_bytes());
             assert!(key_matches(packed, sig, "round-trip"));
             assert!(!key_matches(packed, sig ^ 1, "round-trip"));
@@ -217,14 +190,12 @@ mod tests {
     #[test]
     fn empty_and_long_keys_survive_allocation() {
         for key in ["", "x", &"y".repeat(100_000)] {
-            let hash = hash_str(key);
-            let ptr = allocate_key(key, hash);
-            // SAFETY: freshly allocated, freed once via the wrapper.
+            let ptr = allocate_key(key);
+            // SAFETY: freshly allocated above, freed exactly once below.
             unsafe {
                 assert_eq!(stored_bytes(ptr), key.as_bytes());
-                assert_eq!(stored_hash(ptr), hash);
+                free_key(ptr);
             }
-            drop(KeyAllocation(ptr));
         }
     }
 }

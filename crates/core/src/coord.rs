@@ -5,11 +5,10 @@
 //! `IDLE → PREPARING` CAS, fallible target allocation with graceful
 //! degradation, steal-able block leases with rescue, a re-entrant
 //! finalization latch, and a version-guarded generation publish.  Until
-//! this module existed the protocol lived twice (once in [`crate::grow`]
-//! for the word table, once in `complex/growing.rs` for the string table,
-//! the latter documented as a deliberate mirror); now it lives here as the
-//! default methods of [`GrowProtocol`], and each table contributes only
-//! what actually differs:
+//! this module existed the protocol was copied into every growing table;
+//! now it lives here as the default methods of [`GrowProtocol`], and each
+//! table ([`crate::grow::GrowingTable`], [`crate::generic::GrowMap`])
+//! contributes only what actually differs:
 //!
 //! * **what a generation is** ([`GrowProtocol::Gen`]) and how to allocate
 //!   ([`GrowProtocol::alloc_generation`]) and copy

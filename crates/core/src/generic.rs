@@ -1,19 +1,18 @@
 //! The generic growing map: `GrowMap<K, V>` (DESIGN.md §14).
 //!
 //! The paper presents the growing table as a *general* concurrent hash
-//! map, but the concrete tables of this crate speak two hard-coded
-//! languages: `u64 → u64` ([`crate::grow::GrowingTable`]) and
-//! `String → u64` ([`crate::complex::GrowingStringTable`]).  This module
-//! closes the gap with two representation axes over the same 16-byte
-//! [`Cell`]s and the same shared §12 coordinator ([`crate::coord`]):
+//! map.  The word table ([`crate::grow::GrowingTable`]) speaks only
+//! `u64 → u64`; this module generalizes it with two representation axes
+//! over the same 16-byte [`Cell`]s and the same shared §12 coordinator
+//! ([`crate::coord`]).  `GrowMap<String, u64>` is the crate's growing,
+//! deleting string table (`stringGrow` in the figures):
 //!
 //! * [`KeyRepr`] — how a key maps onto the cell's **key word**.  Word
 //!   sized keys encode *inline* (the word-table fast path: the probe
 //!   compares one integer, exactly the cell ops of `GrowingTable`);
 //!   everything else is stored out of line behind the §5.7 packed
-//!   reference `signature << 48 | pointer` that the string table
-//!   introduced, generalized from `⟨hash, len, bytes⟩` buffers to a
-//!   [`KeyBox`]`<K>` holding the master hash and the typed key.
+//!   reference `signature << 48 | pointer` ([`crate::complex`]), pointing
+//!   at a [`KeyBox`]`<K>` that holds the master hash and the typed key.
 //! * [`ValueRepr`] — how a value maps onto the cell's **value word**.
 //!   Word-sized values encode inline (atomic updates are one full-cell
 //!   CAS); larger values live in a plain heap box whose raw pointer is
@@ -21,8 +20,7 @@
 //!   equality, the value word is only ever dereferenced after a key
 //!   match.
 //!
-//! Both out-of-line representations lean on the same two guarantees the
-//! string table established:
+//! Both out-of-line representations lean on two guarantees:
 //!
 //! * **publication** is a double-word CAS of `⟨key word, value word⟩`
 //!   into an empty cell, so there is no in-flight window at all;
@@ -37,9 +35,8 @@
 //! Growth is not reimplemented here: [`GenericInner`]'s [`GrowProtocol`]
 //! impl instantiates the shared coordinator with a block copy that
 //! re-derives each element's home cell from the master hash (stored in
-//! the key box, or recomputed from the inline word), the same rehash
-//! migration the string table uses — correct for growth, cleanup and
-//! shrink steps alike.
+//! the key box, or recomputed from the inline word) — a rehash migration,
+//! correct for growth, cleanup and shrink steps alike.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,8 +148,8 @@ impl KeyRepr for u32 {
 }
 
 impl KeyRepr for String {
-    /// The string table's FNV-1a master hash, so a `GrowMap<String, u64>`
-    /// hashes exactly like [`crate::complex::GrowingStringTable`].
+    /// The §5.7 FNV-1a master hash, so a `GrowMap<String, u64>` places
+    /// keys exactly like the bounded [`crate::complex::StringKeyTable`].
     #[inline]
     fn hash64(&self) -> u64 {
         crate::complex::hash_str(self)
@@ -246,8 +243,7 @@ impl<const N: usize> ValueRepr for [u64; N] {}
 
 /// The heap allocation behind a boxed key: the full master hash (so
 /// migrations re-derive home cells and probes pre-filter on hash equality
-/// without touching `K`) plus the typed key.  The generalization of the
-/// string table's `⟨hash, len, bytes⟩` buffer.
+/// without touching `K`) plus the typed key.
 struct KeyBox<K> {
     hash: u64,
     key: K,
@@ -773,9 +769,8 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
 
 /// Everything shared between handles and the owner.  The migration
 /// machinery is the shared §12 coordinator ([`crate::coord`]),
-/// instantiated exactly like the string table's: enslavement with
-/// asynchronous marking, no pool, no synchronized quiescence, no
-/// degenerate-cluster recovery.
+/// instantiated with enslavement and asynchronous marking, no pool, no
+/// synchronized quiescence, no degenerate-cluster recovery.
 struct GenericInner<K: KeyRepr, V: ValueRepr> {
     current: VersionedArc<GenericArray<K, V>>,
     counts: GlobalCount,
@@ -843,8 +838,8 @@ impl<K: KeyRepr, V: ValueRepr> GrowProtocol for GenericInner<K, V> {
 /// Word-sized keys and values ([`KeyRepr::INLINE`]/[`ValueRepr::INLINE`])
 /// are stored inline in the 16-byte cells, so `GrowMap<u64, u64>`
 /// performs the same cell operations as [`crate::grow::GrowingTable`];
-/// larger types go behind packed references with QSBR-deferred
-/// reclamation, like [`crate::complex::GrowingStringTable`]'s keys.  The
+/// larger types go behind §5.7 packed references with QSBR-deferred
+/// reclamation.  The
 /// growing strategy is enslavement with asynchronous marking (the
 /// paper's default, uaGrow), run by the shared §12 coordinator.
 ///
@@ -965,8 +960,11 @@ impl<K: KeyRepr, V: ValueRepr> Drop for GrowMap<K, V> {
 unsafe impl<K: KeyRepr, V: ValueRepr> Send for GrowMap<K, V> {}
 unsafe impl<K: KeyRepr, V: ValueRepr> Sync for GrowMap<K, V> {}
 
-/// Operations between automatic quiescent-state announcements (same
-/// cadence rationale as the string table's handle).
+/// How many operations a handle performs between automatic quiescent-state
+/// announcements.  Each announcement is a store to the participant's own
+/// state plus an opportunistic reclamation attempt, so the cadence
+/// amortizes the (mutex-protected) reclamation scan while keeping the
+/// reclamation lag bounded by a few dozen operations per handle.
 const QUIESCE_INTERVAL: u32 = 64;
 
 /// Per-thread handle of a [`GrowMap`] (§5.1).
@@ -1254,6 +1252,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
                     value_word,
                 } => {
                     self.retire_erased(key_word, value_word);
+                    growt_failpoints::fire("generic.erase.retired");
                     self.after_delete();
                     break true;
                 }
@@ -1489,6 +1488,133 @@ mod tests {
         assert_eq!(successes.load(Ordering::Relaxed), 3_000);
         assert_eq!(map.size_exact_quiescent(), 3_000);
         assert!(map.migrations_completed() > 0);
+    }
+
+    #[test]
+    fn grows_from_tiny_capacity_single_thread() {
+        let map: GrowMap<String, u64> = tiny();
+        let mut h = map.handle();
+        let n = 20_000u64;
+        for i in 0..n {
+            assert!(h.insert(&format!("key-{i}"), &i), "insert key-{i}");
+        }
+        assert!(map.migrations_completed() > 0, "never migrated");
+        assert!(map.current_capacity() >= 2 * n as usize);
+        for i in 0..n {
+            assert_eq!(h.find(&format!("key-{i}")), Some(i), "find key-{i}");
+        }
+        assert_eq!(map.size_exact_quiescent(), n as usize);
+        h.flush_counts();
+        let estimate = h.size_estimate();
+        assert!(
+            (estimate as i64 - n as i64).abs() <= 64,
+            "estimate {estimate} vs {n}"
+        );
+    }
+
+    #[test]
+    fn deletion_triggers_cleanup_and_bounds_capacity() {
+        let map: GrowMap<String, u64> = GrowMap::with_config(1 << 10, GrowConfig::default(), 2);
+        let mut h = map.handle();
+        let window = 500u64;
+        for i in 0..20_000u64 {
+            assert!(h.insert(&format!("w-{i}"), &i));
+            if i >= window {
+                assert!(
+                    h.erase(&format!("w-{}", i - window)),
+                    "erase w-{}",
+                    i - window
+                );
+            }
+        }
+        assert!(map.migrations_completed() > 0, "cleanup never ran");
+        for i in 20_000 - window..20_000 {
+            assert_eq!(h.find(&format!("w-{i}")), Some(i));
+        }
+        assert_eq!(h.find(&"w-0".to_string()), None);
+        assert_eq!(map.size_exact_quiescent(), window as usize);
+        assert!(
+            map.current_capacity() <= 1 << 13,
+            "capacity exploded: {}",
+            map.current_capacity()
+        );
+        // Quiescing the only handle reclaims every retired allocation.
+        h.quiesce();
+        assert_eq!(map.pending_reclamation(), 0);
+    }
+
+    #[test]
+    fn finds_remain_consistent_during_growth() {
+        let map: GrowMap<String, u64> = tiny();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (writer_map, stop_ref) = (&map, &stop);
+            s.spawn(move || {
+                let mut h = writer_map.handle();
+                for i in 0..15_000u64 {
+                    h.insert(&format!("c-{i}"), &i);
+                }
+                stop_ref.store(true, Ordering::Release);
+            });
+            for _ in 0..2 {
+                let (map, stop_ref) = (&map, &stop);
+                s.spawn(move || {
+                    let mut h = map.handle();
+                    let mut frontier = 0u64;
+                    while !stop_ref.load(Ordering::Acquire) {
+                        for i in 0..frontier {
+                            assert_eq!(h.find(&format!("c-{i}")), Some(i), "lost c-{i}");
+                        }
+                        if h.find(&format!("c-{}", frontier + 500)).is_some() {
+                            frontier += 500;
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(map.size_exact_quiescent(), 15_000);
+    }
+
+    #[test]
+    fn readers_race_erasers_safely() {
+        // Readers dereference key boxes while an eraser concurrently
+        // retires them into the QSBR domain; under the quiescence protocol
+        // no probe may ever touch freed memory (any use-after-free
+        // corrupts the key compare and fails the value assertions).
+        let map: GrowMap<String, u64> = GrowMap::with_config(1 << 10, GrowConfig::default(), 4);
+        let n = 2_000u64;
+        {
+            let mut h = map.handle();
+            for i in 0..n {
+                h.insert(&format!("re-{i}"), &(i + 1));
+            }
+        }
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let map = &map;
+                s.spawn(move || {
+                    let mut h = map.handle();
+                    for _ in 0..20 {
+                        for i in 0..n {
+                            if let Some(v) = h.find(&format!("re-{i}")) {
+                                assert_eq!(v, i + 1, "corrupted value for re-{i}");
+                            }
+                        }
+                    }
+                });
+            }
+            let map = &map;
+            s.spawn(move || {
+                let mut h = map.handle();
+                for i in 0..n {
+                    assert!(h.erase(&format!("re-{i}")));
+                    if i % 64 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        });
+        assert_eq!(map.size_exact_quiescent(), 0);
     }
 
     #[test]

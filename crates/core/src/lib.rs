@@ -22,12 +22,13 @@
 //!   (hash → prefetch → probe) hot paths;
 //! * [`keyspace`] — restoring the full 64-bit key space (§5.6);
 //! * [`complex`] — complex (non-word) key support via indirection with
-//!   hash signatures (§5.7): the bounded [`complex::StringKeyTable`]
-//!   baseline and the growing, deleting [`complex::GrowingStringTable`];
+//!   hash signatures (§5.7): the key-reference packing and the bounded
+//!   [`complex::StringKeyTable`] baseline;
 //! * [`generic`] — the typed facade [`generic::GrowMap`]`<K, V>`: arbitrary
 //!   keys and values over the same cells and the same shared migration
 //!   coordinator, inline when word-sized and packed behind QSBR-reclaimed
-//!   references otherwise (§14 of DESIGN.md).
+//!   references otherwise (§14 of DESIGN.md); `GrowMap<String, u64>` is the
+//!   growing, deleting string table.
 
 #![warn(missing_docs)]
 
@@ -49,7 +50,7 @@ pub mod simd;
 pub mod table;
 pub mod variants;
 
-pub use complex::{GrowingStringTable, StringHandle, StringKeyTable};
+pub use complex::StringKeyTable;
 pub use config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
 pub use generic::{GrowMap, GrowMapHandle, KeyRepr, ValueRepr};
 pub use grow::{Consistency, GrowHandle, GrowStrategy, GrowingOptions, GrowingTable};

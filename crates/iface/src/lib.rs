@@ -348,101 +348,6 @@ pub trait MapHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Complex (string) keys — paper §5.7
-// ---------------------------------------------------------------------------
-
-/// A concurrent hash map from string keys to word-sized counters
-/// (paper §5.7: complex keys via signature-packed key references).
-///
-/// This is the trait surface behind the word-count/aggregation use case of
-/// the paper's introduction: the key type is `&str`, the value type stays a
-/// machine word so the atomic-update fast paths of the word tables carry
-/// over.  Mirrors [`ConcurrentMap`]: the shared table object is cheap to
-/// share and all operations go through a per-thread
-/// [`StringMap::handle`].
-pub trait StringMap: Send + Sync + Sized + 'static {
-    /// The per-thread handle type.
-    type Handle<'a>: StringMapHandle
-    where
-        Self: 'a;
-
-    /// Create a table able to hold roughly `capacity` string keys (hard
-    /// bound for bounded tables, initial hint for growing ones).
-    fn with_capacity(capacity: usize) -> Self;
-
-    /// Obtain a handle for the calling thread.
-    fn handle(&self) -> Self::Handle<'_>;
-
-    /// Short display name used in figures and tables.
-    fn map_name() -> &'static str;
-
-    /// `true` when the table grows transparently (migrations); bounded
-    /// baselines return `false` and the generic conformance suite skips
-    /// its migration-dependent sections for them.
-    fn growing() -> bool {
-        false
-    }
-}
-
-/// Per-thread access handle of a [`StringMap`].
-///
-/// All methods take `&mut self` for the same reason as [`MapHandle`]: a
-/// handle is owned by one thread and may carry thread-local state
-/// (cached table generations, QSBR participation, buffered counters).
-pub trait StringMapHandle {
-    /// Insert `⟨key, value⟩` if no element with this key is present.
-    /// Returns `true` iff the element was inserted; concurrent inserters
-    /// of the same key see exactly one winner.
-    fn insert(&mut self, key: &str, value: u64) -> bool;
-
-    /// Look up the value stored for `key`.  A value returned for a key is
-    /// always fully published — implementations must never expose the
-    /// transient state of an in-flight insertion.
-    fn find(&mut self, key: &str) -> Option<u64>;
-
-    /// Atomically add `delta` to the value of an existing `key`; returns
-    /// the previous value, or `None` when the key is absent.
-    fn fetch_add(&mut self, key: &str, delta: u64) -> Option<u64>;
-
-    /// Insert `⟨key, delta⟩` or atomically add `delta` to the existing
-    /// value — the word-count primitive.  Returns whether a new element
-    /// was inserted.  No concurrent interleaving may lose a delta.
-    fn insert_or_add(&mut self, key: &str, delta: u64) -> InsertOrUpdate;
-
-    /// Remove the element with `key`.  Returns `true` iff an element was
-    /// removed.  The key's backing allocation is reclaimed through the
-    /// implementation's deferred-reclamation scheme, never while another
-    /// thread may still dereference it.
-    fn erase(&mut self, key: &str) -> bool;
-
-    /// Report a quiescent state: the thread holds no references into the
-    /// table.  QSBR-backed implementations reclaim retired key
-    /// allocations here; the benchmark driver calls it between blocks.
-    fn quiesce(&mut self) {}
-
-    /// Approximate number of live elements.
-    fn size_estimate(&mut self) -> usize {
-        0
-    }
-
-    /// Fallible [`StringMapHandle::insert`]: when making room would
-    /// require growing and the next generation cannot be allocated within
-    /// a bounded number of retries, returns `Err(TryGrowError)` instead
-    /// of blocking until memory appears.  The element is **not** inserted
-    /// on error; the table stays valid.  Default delegates to the
-    /// infallible operation (correct for tables that cannot fail).
-    fn try_insert(&mut self, key: &str, value: u64) -> Result<bool, TryGrowError> {
-        Ok(self.insert(key, value))
-    }
-
-    /// Fallible [`StringMapHandle::insert_or_add`]; see
-    /// [`StringMapHandle::try_insert`] for the error contract.
-    fn try_insert_or_add(&mut self, key: &str, delta: u64) -> Result<InsertOrUpdate, TryGrowError> {
-        Ok(self.insert_or_add(key, delta))
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Typed (generic) keys and values — the `GrowMap<K, V>` facade
 // ---------------------------------------------------------------------------
 
@@ -453,17 +358,18 @@ pub trait StringMapHandle {
 /// clonable type.  Word-sized keys and values are stored inline in the
 /// cells (the same double-word-CAS fast path as [`ConcurrentMap`]
 /// implementations); larger types are stored behind signature-packed
-/// references with deferred reclamation, exactly like [`StringMap`]'s
-/// keys.  Mirrors the other map traits: the shared table object is cheap
-/// to share and all operations go through a per-thread handle.
+/// references with deferred reclamation (paper §5.7).  String-keyed
+/// word counting is `GenericMap<String, u64>`.  Mirrors [`ConcurrentMap`]:
+/// the shared table object is cheap to share and all operations go
+/// through a per-thread handle.
 pub trait GenericMap<K, V>: Send + Sync + Sized + 'static {
     /// The per-thread handle type.
     type Handle<'a>: GenericMapHandle<K, V>
     where
         Self: 'a;
 
-    /// Create a table able to hold roughly `capacity` elements (initial
-    /// hint; the table grows transparently).
+    /// Create a table able to hold roughly `capacity` elements: a hard
+    /// bound for bounded tables, an initial hint for growing ones.
     fn with_capacity(capacity: usize) -> Self;
 
     /// Obtain a handle for the calling thread.
@@ -711,7 +617,8 @@ mod tests {
         h.find_batch(&[1, 2, 3], &mut out);
     }
 
-    /// Minimal single-threaded `StringMap` exercising the trait defaults.
+    /// Minimal single-threaded `GenericMap<String, u64>` exercising the
+    /// trait defaults.
     struct VecStringMap {
         pairs: std::sync::Mutex<Vec<(String, u64)>>,
     }
@@ -720,7 +627,7 @@ mod tests {
         table: &'a VecStringMap,
     }
 
-    impl StringMap for VecStringMap {
+    impl GenericMap<String, u64> for VecStringMap {
         type Handle<'a> = VecStringHandle<'a>;
         fn with_capacity(_capacity: usize) -> Self {
             VecStringMap {
@@ -735,36 +642,40 @@ mod tests {
         }
     }
 
-    impl StringMapHandle for VecStringHandle<'_> {
-        fn insert(&mut self, key: &str, value: u64) -> bool {
+    impl GenericMapHandle<String, u64> for VecStringHandle<'_> {
+        fn insert(&mut self, key: &String, value: &u64) -> bool {
             let mut m = self.table.pairs.lock().unwrap();
             if m.iter().any(|(k, _)| k == key) {
                 return false;
             }
-            m.push((key.to_string(), value));
+            m.push((key.clone(), *value));
             true
         }
-        fn find(&mut self, key: &str) -> Option<u64> {
+        fn find(&mut self, key: &String) -> Option<u64> {
             let m = self.table.pairs.lock().unwrap();
             m.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
         }
-        fn fetch_add(&mut self, key: &str, delta: u64) -> Option<u64> {
+        fn update(&mut self, key: &String, up: &dyn Fn(&u64) -> u64) -> bool {
             let mut m = self.table.pairs.lock().unwrap();
-            m.iter_mut().find(|(k, _)| k == key).map(|pair| {
-                let old = pair.1;
-                pair.1 = old.wrapping_add(delta);
-                old
-            })
+            m.iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|pair| pair.1 = up(&pair.1))
+                .is_some()
         }
-        fn insert_or_add(&mut self, key: &str, delta: u64) -> InsertOrUpdate {
-            if self.fetch_add(key, delta).is_some() {
+        fn insert_or_update(
+            &mut self,
+            key: &String,
+            value: &u64,
+            up: &dyn Fn(&u64) -> u64,
+        ) -> InsertOrUpdate {
+            if self.update(key, up) {
                 InsertOrUpdate::Updated
             } else {
-                self.insert(key, delta);
+                self.insert(key, value);
                 InsertOrUpdate::Inserted
             }
         }
-        fn erase(&mut self, key: &str) -> bool {
+        fn erase(&mut self, key: &String) -> bool {
             let mut m = self.table.pairs.lock().unwrap();
             let before = m.len();
             m.retain(|(k, _)| k != key);
@@ -776,17 +687,28 @@ mod tests {
     fn string_map_round_trip_and_defaults() {
         let table = VecStringMap::with_capacity(8);
         let mut h = table.handle();
-        assert!(!VecStringMap::growing());
+        let key = |k: &str| k.to_string();
         assert_eq!(VecStringMap::map_name(), "vec-string-reference");
-        assert!(h.insert("alpha", 1));
-        assert!(!h.insert("alpha", 9));
-        assert_eq!(h.find("alpha"), Some(1));
-        assert_eq!(h.fetch_add("alpha", 4), Some(1));
-        assert!(!h.insert_or_add("alpha", 5).inserted());
-        assert!(h.insert_or_add("beta", 2).inserted());
-        assert_eq!(h.find("alpha"), Some(10));
-        assert!(h.erase("alpha"));
-        assert!(!h.erase("alpha"));
+        assert!(h.insert(&key("alpha"), &1));
+        assert!(!h.insert(&key("alpha"), &9));
+        assert_eq!(h.find(&key("alpha")), Some(1));
+        assert!(h.update(&key("alpha"), &|v| v + 4));
+        assert_eq!(h.find(&key("alpha")), Some(5));
+        let add = |d: u64| move |v: &u64| v + d;
+        assert!(!h.insert_or_update(&key("alpha"), &5, &add(5)).inserted());
+        assert!(h.insert_or_update(&key("beta"), &2, &add(2)).inserted());
+        assert_eq!(h.find(&key("alpha")), Some(10));
+        assert_eq!(h.try_insert(&key("gamma"), &3), Ok(true));
+        assert_eq!(
+            h.try_insert_or_update(&key("gamma"), &3, &add(3)),
+            Ok(InsertOrUpdate::Updated)
+        );
+        let mut out = [None; 3];
+        h.find_batch(&[key("gamma"), key("delta"), key("beta")], &mut out);
+        assert_eq!(out, [Some(6), None, Some(2)]);
+        assert!(h.erase(&key("alpha")));
+        assert!(!h.erase(&key("alpha")));
+        assert_eq!(h.erase_batch(&[key("beta"), key("gamma"), key("beta")]), 2);
         h.quiesce();
         assert_eq!(h.size_estimate(), 0);
     }

@@ -10,9 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use growt_iface::{
-    ConcurrentMap, GenericMap, GenericMapHandle, MapHandle, StringMap, StringMapHandle,
-};
+use growt_iface::{ConcurrentMap, GenericMap, GenericMapHandle, MapHandle};
 
 use crate::keys::{DeletionWorkload, MixedOp, MixedWorkload, ZipfMixedOp, ZipfMixedWorkload};
 use crate::latency::{Clock, LatencyHistogram};
@@ -446,48 +444,6 @@ pub fn erase_batch_driver<M: ConcurrentMap>(
     )
 }
 
-/// Run `total` operations on a string-keyed `table` with `threads`
-/// threads — the [`run_parallel`] twin for [`StringMap`] tables (§5.7).
-/// Threads pull blocks of 4096 operations from the shared counter and
-/// call `op` once per operation index through their private handles; the
-/// per-block [`StringMapHandle::quiesce`] call is where QSBR-backed
-/// tables reclaim retired key allocations.
-pub fn run_parallel_strings<M, F>(table: &M, threads: usize, total: usize, op: F) -> Measurement
-where
-    M: StringMap,
-    F: Fn(&mut M::Handle<'_>, usize) -> u64 + Sync,
-{
-    assert!(threads > 0);
-    let scheduler = BlockScheduler::new(total);
-    let aux_total = AtomicU64::new(0);
-    let op = &op;
-    let scheduler = &scheduler;
-    let aux_ref = &aux_total;
-
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                let mut handle = table.handle();
-                let mut aux = 0u64;
-                while let Some(range) = scheduler.next_block() {
-                    for i in range {
-                        aux = aux.wrapping_add(op(&mut handle, i));
-                    }
-                    handle.quiesce();
-                }
-                aux_ref.fetch_add(aux, Ordering::Relaxed);
-            });
-        }
-    });
-    let seconds = start.elapsed().as_secs_f64();
-    Measurement {
-        seconds,
-        ops: total,
-        aux: aux_total.load(Ordering::Relaxed),
-    }
-}
-
 /// The [`run_parallel`] measurement loop over the typed map interface:
 /// `p` threads pull 4096-operation blocks and drive them through private
 /// [`GenericMapHandle`]s, with one quiescent point per block.
@@ -541,8 +497,10 @@ pub fn generic_aggregate_driver<M: GenericMap<u64, u64>>(
     })
 }
 
-/// The word-count workload over the typed map interface: `String` keys
-/// through the same generic update closure; `aux` counts distinct words.
+/// The word-count workload: every stream position performs one
+/// `insert_or_update(word, 1, +1)` (the aggregation primitive of the
+/// paper's introduction, over string keys); `aux` counts the insertions,
+/// i.e. the distinct words seen first.
 pub fn generic_wordcount_driver<M: GenericMap<String, u64>>(
     map: &M,
     corpus: &WordCorpus,
@@ -551,21 +509,6 @@ pub fn generic_wordcount_driver<M: GenericMap<String, u64>>(
     run_parallel_generic(map, threads, corpus.stream.len(), |h, i| {
         let word = &corpus.vocabulary[corpus.stream[i] as usize];
         u64::from(h.insert_or_update(word, &1, &|c| c + 1).inserted())
-    })
-}
-
-/// The word-count workload: every stream position performs one
-/// `insert_or_add(word, 1)` (the aggregation primitive of the paper's
-/// introduction, over string keys); `aux` counts the insertions, i.e. the
-/// distinct words seen first.
-pub fn wordcount_driver<M: StringMap>(
-    table: &M,
-    corpus: &WordCorpus,
-    threads: usize,
-) -> Measurement {
-    run_parallel_strings(table, threads, corpus.stream.len(), |h, i| {
-        let word = &corpus.vocabulary[corpus.stream[i] as usize];
-        u64::from(h.insert_or_add(word, 1).inserted())
     })
 }
 
@@ -657,7 +600,7 @@ mod tests {
     }
 
     /// A trivially correct string-map reference (mutex around a HashMap)
-    /// used to validate the string drivers themselves.
+    /// used to validate the word-count driver itself.
     struct RefStringTable {
         inner: Mutex<HashMap<String, u64>>,
     }
@@ -666,7 +609,7 @@ mod tests {
         table: &'a RefStringTable,
     }
 
-    impl growt_iface::StringMap for RefStringTable {
+    impl GenericMap<String, u64> for RefStringTable {
         type Handle<'a> = RefStringHandle<'a>;
         fn with_capacity(_capacity: usize) -> Self {
             RefStringTable {
@@ -681,40 +624,41 @@ mod tests {
         }
     }
 
-    impl StringMapHandle for RefStringHandle<'_> {
-        fn insert(&mut self, key: &str, value: u64) -> bool {
+    impl GenericMapHandle<String, u64> for RefStringHandle<'_> {
+        fn insert(&mut self, key: &String, value: &u64) -> bool {
             let mut m = self.table.inner.lock().unwrap();
             if m.contains_key(key) {
                 return false;
             }
-            m.insert(key.to_string(), value);
+            m.insert(key.clone(), *value);
             true
         }
-        fn find(&mut self, key: &str) -> Option<u64> {
+        fn find(&mut self, key: &String) -> Option<u64> {
             self.table.inner.lock().unwrap().get(key).copied()
         }
-        fn fetch_add(&mut self, key: &str, delta: u64) -> Option<u64> {
+        fn update(&mut self, key: &String, up: &dyn Fn(&u64) -> u64) -> bool {
             let mut m = self.table.inner.lock().unwrap();
-            m.get_mut(key).map(|v| {
-                let old = *v;
-                *v = old.wrapping_add(delta);
-                old
-            })
+            m.get_mut(key).map(|v| *v = up(v)).is_some()
         }
-        fn insert_or_add(&mut self, key: &str, delta: u64) -> InsertOrUpdate {
+        fn insert_or_update(
+            &mut self,
+            key: &String,
+            value: &u64,
+            up: &dyn Fn(&u64) -> u64,
+        ) -> InsertOrUpdate {
             let mut m = self.table.inner.lock().unwrap();
             match m.get_mut(key) {
                 Some(v) => {
-                    *v = v.wrapping_add(delta);
+                    *v = up(v);
                     InsertOrUpdate::Updated
                 }
                 None => {
-                    m.insert(key.to_string(), delta);
+                    m.insert(key.clone(), *value);
                     InsertOrUpdate::Inserted
                 }
             }
         }
-        fn erase(&mut self, key: &str) -> bool {
+        fn erase(&mut self, key: &String) -> bool {
             self.table.inner.lock().unwrap().remove(key).is_some()
         }
         fn size_estimate(&mut self) -> usize {
@@ -724,19 +668,22 @@ mod tests {
 
     #[test]
     fn wordcount_driver_matches_ground_truth() {
-        use growt_iface::StringMap as _;
         let corpus = crate::words::word_corpus(40_000, 300, 1.0, 5);
         let expected = corpus.expected_counts();
         let distinct = expected.iter().filter(|&&c| c > 0).count();
         let table = RefStringTable::with_capacity(300);
-        let m = wordcount_driver(&table, &corpus, 4);
+        let m = generic_wordcount_driver(&table, &corpus, 4);
         assert_eq!(m.aux as usize, distinct, "insertions != distinct words");
         let mut h = table.handle();
+        let mut total = 0;
         for (word, &count) in corpus.vocabulary.iter().zip(&expected) {
-            assert_eq!(h.find(word), (count > 0).then_some(count), "word {word}");
+            if count > 0 {
+                assert_eq!(h.find(word), Some(count), "word {word}");
+                total += count;
+            }
         }
-        let total: u64 = corpus.vocabulary.iter().filter_map(|w| h.find(w)).sum();
         assert_eq!(total as usize, corpus.total_words());
+        assert_eq!(h.size_estimate(), distinct);
     }
 
     #[test]

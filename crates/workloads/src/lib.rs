@@ -34,9 +34,9 @@ pub use driver::{
     aggregate_driver, deletion_driver, erase_batch_driver, find_batch_driver, find_driver,
     generic_aggregate_driver, generic_wordcount_driver, insert_batch_driver, insert_driver,
     mixed_driver, prefill, run_parallel, run_parallel_batched, run_parallel_batched_latency,
-    run_parallel_generic, run_parallel_latency, run_parallel_strings, update_batch_driver,
-    update_driver, wordcount_driver, zipf_mixed_latency_driver, LatencyMeasurement, LAT_CLASS_FIND,
-    LAT_CLASS_INSERT, LAT_CLASS_UPDATE,
+    run_parallel_generic, run_parallel_latency, update_batch_driver, update_driver,
+    zipf_mixed_latency_driver, LatencyMeasurement, LAT_CLASS_FIND, LAT_CLASS_INSERT,
+    LAT_CLASS_UPDATE,
 };
 pub use hash::{crc32c_hw_available, crc32c_u64, crc32c_u64_sw, crc64_pair, mix64, HashKind};
 pub use keys::{

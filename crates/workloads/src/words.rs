@@ -10,6 +10,8 @@
 //! `&str`s per occurrence) makes the pre-generated workload compact and
 //! lets exactness tests recompute per-word ground truth cheaply.
 
+use std::collections::HashMap;
+
 use crate::mt64::{Mt64, SplitMix64};
 use crate::zipf::ZipfSampler;
 
@@ -17,7 +19,8 @@ use crate::zipf::ZipfSampler;
 /// `vocabulary`.  Zipf rank 1 (the most frequent word) is
 /// `vocabulary[0]`.
 pub struct WordCorpus {
-    /// Distinct words, ordered by Zipf rank (most frequent first).
+    /// Words ordered by Zipf rank (most frequent first); a text can
+    /// repeat at a later rank (see [`word_vocabulary`]).
     pub vocabulary: Vec<String>,
     /// The word stream, as indices into `vocabulary`.
     pub stream: Vec<u32>,
@@ -30,12 +33,23 @@ impl WordCorpus {
     }
 
     /// Ground-truth occurrence count per vocabulary index (the exactness
-    /// oracle: after ingestion, the table's count for `vocabulary[i]`
-    /// must equal `expected_counts()[i]`).
+    /// oracle).  A table counts texts, not ranks, so every occurrence of
+    /// a repeated text is counted at the first index holding that text
+    /// and its later indices read 0.  After ingestion, the table's count
+    /// for `vocabulary[i]` must equal `expected_counts()[i]` wherever that
+    /// is non-zero, and the non-zero entries are exactly the distinct
+    /// words stored.
     pub fn expected_counts(&self) -> Vec<u64> {
+        let mut first = HashMap::with_capacity(self.vocabulary.len());
+        let canonical: Vec<usize> = self
+            .vocabulary
+            .iter()
+            .enumerate()
+            .map(|(i, word)| *first.entry(word.as_str()).or_insert(i))
+            .collect();
         let mut counts = vec![0u64; self.vocabulary.len()];
         for &index in &self.stream {
-            counts[index as usize] += 1;
+            counts[canonical[index as usize]] += 1;
         }
         counts
     }
@@ -48,10 +62,13 @@ const SYLLABLES: [&str; 16] = [
     "zu",
 ];
 
-/// Generate `size` **distinct** pseudo-words.  The word body is built from
-/// hash-chosen syllables (1–4 of them, so lengths vary like real tokens);
-/// distinctness is guaranteed by a base-26 letter suffix encoding the
-/// rank, so no two ranks can collide regardless of the syllable choices.
+/// Generate `size` pseudo-words.  The word body is built from hash-chosen
+/// syllables (1–4 of them, so lengths vary like real tokens), followed by
+/// a base-26 letter suffix encoding the rank.  The suffix makes repeats
+/// rare but does not rule them out: a body plus its suffix can spell
+/// another rank's body plus suffix (`word_vocabulary(65_536, 1)` repeats
+/// a text at rank 4066).  [`WordCorpus::expected_counts`] accounts for
+/// that.
 pub fn word_vocabulary(size: usize, seed: u64) -> Vec<String> {
     let mut rng = SplitMix64::new(seed);
     (0..size)
@@ -108,6 +125,35 @@ mod tests {
         // Lengths vary (syllable count 1–4 plus suffix).
         let lens: HashSet<usize> = vocab.iter().map(|w| w.len()).collect();
         assert!(lens.len() > 3, "word lengths are degenerate: {lens:?}");
+    }
+
+    #[test]
+    fn expected_counts_fold_repeated_texts_onto_their_first_index() {
+        let vocabulary = word_vocabulary(65_536, 1);
+        let corpus = WordCorpus {
+            stream: (0..vocabulary.len() as u32).collect(),
+            vocabulary,
+        };
+        let mut first: HashMap<&str, usize> = HashMap::new();
+        let mut occurrences: HashMap<&str, u64> = HashMap::new();
+        for (i, word) in corpus.vocabulary.iter().enumerate() {
+            first.entry(word).or_insert(i);
+            *occurrences.entry(word).or_default() += 1;
+        }
+        assert!(
+            first.len() < corpus.vocabulary.len(),
+            "this vocabulary is known to repeat a text"
+        );
+        let counts = corpus.expected_counts();
+        for (i, word) in corpus.vocabulary.iter().enumerate() {
+            let want = if first[word.as_str()] == i {
+                occurrences[word.as_str()]
+            } else {
+                0
+            };
+            assert_eq!(counts[i], want, "rank {i} ({word})");
+        }
+        assert_eq!(counts.iter().filter(|&&c| c > 0).count(), first.len());
     }
 
     #[test]

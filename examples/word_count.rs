@@ -3,7 +3,7 @@
 //! string keys through the §5.7 complex-key subsystem.
 //!
 //! Every thread streams Zipf-distributed synthetic text into a
-//! [`GrowingStringTable`] with `insert_or_add(word, 1)`.  The table starts
+//! `GrowMap<String, u64>` with `insert_or_update(word, 1, +1)`.  The map starts
 //! tiny and grows transparently (the number of distinct words is unknown
 //! in advance); the run reports the migrations crossed, the most frequent
 //! words, and verifies the exactness invariant — the counts sum to the
@@ -22,7 +22,7 @@ fn main() {
     // Pre-generate the text, as the paper does for key streams (§8.3).
     let corpus = word_corpus(operations, vocabulary, skew, 42);
 
-    let table = GrowingStringTable::with_capacity(4096);
+    let table: GrowMap<String, u64> = GrowMap::new(4096);
     let start = std::time::Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -31,7 +31,7 @@ fn main() {
             scope.spawn(move || {
                 let mut handle = table.handle();
                 for &w in corpus.stream.iter().skip(t).step_by(threads) {
-                    handle.insert_or_add(&corpus.vocabulary[w as usize], 1);
+                    handle.insert_or_update(&corpus.vocabulary[w as usize], &1, |c| c + 1);
                 }
             });
         }
@@ -58,11 +58,15 @@ fn main() {
     }
 
     // The exactness invariant of the word-count workload: the per-word
-    // counts sum to the number of words ingested.
+    // counts sum to the number of words ingested.  A vocabulary text can
+    // repeat, so each distinct text (a non-zero oracle entry) is read once.
+    let expected = corpus.expected_counts();
     let total: u64 = corpus
         .vocabulary
         .iter()
-        .filter_map(|w| handle.find(w))
+        .zip(&expected)
+        .filter(|&(_, &count)| count > 0)
+        .filter_map(|(w, _)| handle.find(w))
         .sum();
     assert_eq!(total as usize, operations, "lost or double-counted words");
     println!("exactness check passed: counts sum to {total}");

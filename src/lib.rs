@@ -50,20 +50,19 @@ pub mod prelude {
         RcuQsbrTable, RcuTable, TbbHashMap, TbbUnorderedMap,
     };
     pub use growt_core::{
-        Folklore, FolkloreCrc, FolkloreSimd, GrowMap, GrowMapHandle, GrowingOptions,
-        GrowingStringTable, GrowingTable, HashSelect, KeyRepr, PaGrow, ProbeSelect, PsGrow,
-        StringKeyTable, TsxFolklore, UaGrow, UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd,
-        UsGrow, ValueRepr,
+        Folklore, FolkloreCrc, FolkloreSimd, GrowMap, GrowMapHandle, GrowingOptions, GrowingTable,
+        HashSelect, KeyRepr, PaGrow, ProbeSelect, PsGrow, StringKeyTable, TsxFolklore, UaGrow,
+        UaGrowCrc, UaGrowK1, UaGrowK16, UaGrowK4, UaGrowSimd, UsGrow, ValueRepr,
     };
     pub use growt_iface::{
         Capabilities, ConcurrentMap, GenericMap, GenericMapHandle, GrowthSupport, InsertOrUpdate,
-        MapHandle, StringMap, StringMapHandle,
+        MapHandle,
     };
     pub use growt_seq::{SeqGrowingTable, SeqTable};
     pub use growt_workloads::{
         aggregate_driver, deletion_driver, erase_batch_driver, find_batch_driver, find_driver,
-        insert_batch_driver, insert_driver, mixed_driver, prefill, uniform_distinct_keys,
-        update_batch_driver, word_corpus, word_vocabulary, wordcount_driver, zipf_keys,
+        generic_wordcount_driver, insert_batch_driver, insert_driver, mixed_driver, prefill,
+        uniform_distinct_keys, update_batch_driver, word_corpus, word_vocabulary, zipf_keys,
         zipf_mixed_latency_driver, zipf_mixed_workload, Clock, LatencyHistogram,
         LatencyMeasurement, Mt64, WordCorpus, ZipfMixedOp, ZipfMixedWorkload, ZipfSampler,
     };

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use growt_baselines::FollyStyle;
-use growt_core::complex::{GrowingStringTable, StringKeyTable};
+use growt_core::complex::StringKeyTable;
 use growt_core::{GrowMap, GrowStrategy, GrowingOptions, GrowingTable};
 use growt_failpoints::{clear_all, configure, hits, remove, Action, ThreadExit, Trigger};
 use growt_iface::{ConcurrentMap, MapHandle};
@@ -85,7 +85,7 @@ fn insert_confirming(
 
 /// String-table analogue of [`insert_confirming`] (value = index).
 fn insert_strings_confirming(
-    table: &GrowingStringTable,
+    table: &GrowMap<String, u64>,
     prefix: &str,
     count: u64,
 ) -> (Vec<(String, u64)>, bool) {
@@ -94,7 +94,7 @@ fn insert_strings_confirming(
         let mut handle = table.handle();
         for i in 0..count {
             let key = format!("{prefix}-{i}");
-            handle.insert(&key, i);
+            handle.insert(&key, &i);
             confirmed.push((key, i));
         }
     }));
@@ -347,21 +347,22 @@ fn transient_hugebox_failure_is_retried_transparently() {
     });
 }
 
-/// String-table variant of the degradation test: `try_insert` errors under
-/// injected OOM, in-place arithmetic keeps working, and lifting the
-/// failure lets the table grow again.
+/// String-table variant of the degradation test, on the growing string
+/// table `GrowMap<String, u64>`: `try_insert` errors under injected OOM,
+/// in-place updates keep working, and lifting the failure lets the table
+/// grow again.
 #[test]
 fn string_table_degrades_and_recovers_on_allocation_failure() {
     serialized("string-alloc-failure", || {
-        let table = GrowingStringTable::new(64);
+        let table: GrowMap<String, u64> = GrowMap::new(64);
         let mut handle = table.handle();
-        configure("string.prepare.alloc", Action::FailAlloc, Trigger::Always);
+        configure("generic.prepare.alloc", Action::FailAlloc, Trigger::Always);
 
         let mut inserted = Vec::new();
         let mut saw_full = false;
         for i in 0..2_000u64 {
             let key = format!("deg-{i}");
-            match handle.try_insert(&key, i) {
+            match handle.try_insert(&key, &i) {
                 Ok(true) => inserted.push((key, i)),
                 Ok(false) => panic!("distinct keys cannot be duplicates"),
                 Err(growt_iface::TryGrowError) => {
@@ -377,15 +378,16 @@ fn string_table_degrades_and_recovers_on_allocation_failure() {
             assert_eq!(handle.find(key), Some(*value), "key {key}");
         }
         let (probe, value) = &inserted[0];
-        assert_eq!(handle.fetch_add(probe, 5), Some(*value));
+        assert_eq!(handle.find(probe), Some(*value));
+        assert!(handle.update(probe, |v| v + 5));
         assert_eq!(handle.find(probe), Some(value + 5));
 
-        remove("string.prepare.alloc");
+        remove("generic.prepare.alloc");
         for i in 0..2_000u64 {
             let key = format!("rec-{i}");
-            assert_eq!(handle.try_insert(&key, i), Ok(true), "key {key}");
+            assert_eq!(handle.try_insert(&key, &i), Ok(true), "key {key}");
         }
-        assert_eq!(handle.find("rec-1999"), Some(1_999));
+        assert_eq!(handle.find(&"rec-1999".to_string()), Some(1_999));
         assert_eq!(handle.find(probe), Some(value + 5));
         drop(handle);
         assert!(table.migrations_completed() >= 1, "growth never resumed");
@@ -499,54 +501,57 @@ fn abandoned_baseline_inflight_claim_is_repaired() {
 // to baseline
 // ---------------------------------------------------------------------
 
-/// A thread dies immediately after retiring an erased key's allocation.
-/// Its handle unregisters from the QSBR domain during unwinding, so the
-/// surviving participant alone must be able to drain the limbo list.
+/// A thread dies immediately after retiring an erased key's allocation
+/// (`GrowMap<String, u64>`).  Its handle unregisters from the QSBR domain
+/// during unwinding, so the surviving participant alone must be able to
+/// drain the limbo list.
 #[test]
 fn qsbr_limbo_drains_after_eraser_thread_exit() {
     serialized("qsbr-drain-after-exit", || {
-        let table = GrowingStringTable::new(256);
+        let table: GrowMap<String, u64> = GrowMap::new(256);
+        let key = |i: u64| format!("k-{i}");
         {
             let mut handle = table.handle();
             for i in 0..100u64 {
-                assert!(handle.insert(&format!("k-{i}"), i));
+                assert!(handle.insert(&key(i), &i));
             }
         }
-        configure("string.erase.retired", Action::ExitThread, Trigger::Once);
+        configure("generic.erase.retired", Action::ExitThread, Trigger::Once);
 
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let mut handle = table.handle();
-                    handle.erase("k-3"); // dies right after the retire
-                    handle.erase("k-4"); // never reached
+                    handle.erase(&key(3)); // dies right after the retire
+                    handle.erase(&key(4)); // never reached
                 }));
                 let payload = outcome.expect_err("the first erase must exit the thread");
                 assert!(payload.is::<ThreadExit>());
             });
         });
-        assert_eq!(hits("string.erase.retired"), 1);
+        assert_eq!(hits("generic.erase.retired"), 1);
 
         let mut handle = table.handle();
         for _ in 0..256 {
             handle.quiesce();
-            if table.stats().pending_reclamation == 0 {
+            if table.pending_reclamation() == 0 {
                 break;
             }
         }
         assert_eq!(
-            table.stats().pending_reclamation,
+            table.pending_reclamation(),
             0,
             "the dead participant must not block reclamation"
         );
         // The erase that triggered the exit had already taken effect; the
         // one after it never ran.
-        assert_eq!(handle.find("k-3"), None);
-        assert_eq!(handle.find("k-4"), Some(4));
+        assert_eq!(handle.find(&key(3)), None);
+        assert_eq!(handle.find(&key(4)), Some(4));
     });
 }
 
-/// End-to-end leak check: a writer killed mid-migration, erases, QSBR
+/// End-to-end leak check on the growing string table
+/// (`GrowMap<String, u64>`): a writer killed mid-migration, erases, QSBR
 /// draining, then the table drops — and the tracked heap returns to its
 /// baseline.  Catches leaked generations, leaked key allocations and
 /// leaked migration jobs alike.
@@ -556,9 +561,9 @@ fn string_migration_thread_exit_leaks_nothing() {
         // Warm up one-time lazy allocations (failpoint registry map,
         // thread bookkeeping) so they don't pollute the accounting below.
         {
-            let warm = GrowingStringTable::new(64);
+            let warm: GrowMap<String, u64> = GrowMap::new(64);
             let mut handle = warm.handle();
-            handle.insert("warmup", 1);
+            handle.insert(&"warmup".to_string(), &1);
             configure("warmup.noop", Action::Yield(0), Trigger::Once);
             clear_all();
         }
@@ -566,8 +571,8 @@ fn string_migration_thread_exit_leaks_nothing() {
         let baseline = growt_alloc_track::current_bytes();
         {
             const PER_THREAD: u64 = 6_000;
-            let table = GrowingStringTable::new(64);
-            configure("string.block.claimed", Action::ExitThread, Trigger::Once);
+            let table: GrowMap<String, u64> = GrowMap::new(64);
+            configure("generic.block.claimed", Action::ExitThread, Trigger::Once);
 
             let mut results = Vec::new();
             std::thread::scope(|scope| {
@@ -583,7 +588,7 @@ fn string_migration_thread_exit_leaks_nothing() {
                     results.push(worker.join().unwrap());
                 }
             });
-            assert_eq!(hits("string.block.claimed"), 1);
+            assert_eq!(hits("generic.block.claimed"), 1);
             assert_eq!(
                 results.iter().filter(|(_, died)| *died).count(),
                 1,
@@ -605,11 +610,11 @@ fn string_migration_thread_exit_leaks_nothing() {
             }
             for _ in 0..256 {
                 handle.quiesce();
-                if table.stats().pending_reclamation == 0 {
+                if table.pending_reclamation() == 0 {
                     break;
                 }
             }
-            assert_eq!(table.stats().pending_reclamation, 0);
+            assert_eq!(table.pending_reclamation(), 0);
             drop(handle);
             assert!(table.migrations_completed() >= 1);
         }

@@ -176,7 +176,7 @@ fn string_key_table_concurrent_wordcount() {
             scope.spawn(move || {
                 for i in 0..20_000usize {
                     let word = &words[(i * (t + 1)) % words.len()];
-                    table.insert_or_add(word, 1);
+                    table.insert_or_update(word, 1, |c| c + 1);
                 }
             });
         }

@@ -1,9 +1,11 @@
-//! Generic [`StringMap`] conformance suite (§5.7 complex keys).
+//! String-key conformance suite over [`GenericMap`]`<String, u64>` (§5.7
+//! complex keys).
 //!
-//! Both string tables — the bounded `stringFolklore` baseline and the
-//! growing, deleting `stringGrow` subsystem — are driven through one
-//! generic harness over the [`StringMap`] trait, exactly like the word
-//! tables run through the [`ConcurrentMap`] suite in `conformance.rs`:
+//! Both string tables — the bounded `stringFolklore` baseline
+//! ([`StringKeyTable`]) and the growing, deleting `stringGrow`
+//! (`GrowMap<String, u64>`) — are driven through one generic harness,
+//! exactly like the word tables run through the [`ConcurrentMap`] suite
+//! in `conformance.rs`:
 //!
 //! * a single-threaded round-trip over the full handle surface,
 //! * publication-order checks (a found value is always fully published),
@@ -20,62 +22,85 @@ fn threads() -> usize {
     4
 }
 
-/// Single-threaded round-trip over the full `StringMapHandle` surface.
-fn round_trip<M: StringMap>() {
+fn key(s: &str) -> String {
+    s.to_string()
+}
+
+/// The word-count update: add one.
+fn add_one(count: &u64) -> u64 {
+    count + 1
+}
+
+/// Single-threaded round-trip over the `GenericMapHandle` surface.
+fn round_trip<M: GenericMap<String, u64>>() {
     let table = M::with_capacity(2048);
     let mut h = table.handle();
     let name = M::map_name();
 
     for i in 0..512u64 {
-        assert!(h.insert(&format!("rt-{i}"), i + 1), "{name}: insert rt-{i}");
+        assert!(
+            h.insert(&format!("rt-{i}"), &(i + 1)),
+            "{name}: insert rt-{i}"
+        );
     }
     for i in 0..512u64 {
         assert!(
-            !h.insert(&format!("rt-{i}"), 0),
+            !h.insert(&format!("rt-{i}"), &0),
             "{name}: dup insert rt-{i}"
         );
         assert_eq!(h.find(&format!("rt-{i}")), Some(i + 1), "{name}: find");
     }
-    assert_eq!(h.find("absent"), None, "{name}: absent key");
+    assert_eq!(h.find(&key("absent")), None, "{name}: absent key");
 
-    assert_eq!(h.fetch_add("rt-0", 5), Some(1), "{name}: fetch_add present");
-    assert_eq!(h.find("rt-0"), Some(6), "{name}: fetch_add result");
-    assert_eq!(h.fetch_add("absent", 5), None, "{name}: fetch_add absent");
-
+    assert!(h.update(&key("rt-0"), &|v| v + 5), "{name}: update present");
+    assert_eq!(h.find(&key("rt-0")), Some(6), "{name}: update result");
     assert!(
-        h.insert_or_add("ioa", 3).inserted(),
+        !h.update(&key("absent"), &|v| v + 5),
+        "{name}: update absent"
+    );
+    assert_eq!(h.find(&key("absent")), None, "{name}: update inserted");
+
+    let add = |d: u64| move |v: &u64| v + d;
+    assert!(
+        h.insert_or_update(&key("ioa"), &3, &add(3)).inserted(),
         "{name}: upsert absent"
     );
     assert!(
-        !h.insert_or_add("ioa", 4).inserted(),
+        !h.insert_or_update(&key("ioa"), &4, &add(4)).inserted(),
         "{name}: upsert present"
     );
-    assert_eq!(h.find("ioa"), Some(7), "{name}: upsert result");
+    assert_eq!(h.find(&key("ioa")), Some(7), "{name}: upsert result");
 
-    assert!(h.erase("ioa"), "{name}: erase present");
-    assert!(!h.erase("ioa"), "{name}: erase absent");
-    assert_eq!(h.find("ioa"), None, "{name}: erased key gone");
-    assert!(h.insert_or_add("ioa", 9).inserted(), "{name}: reinsert");
-    assert_eq!(h.find("ioa"), Some(9), "{name}: reinsert value");
+    assert!(h.erase(&key("ioa")), "{name}: erase present");
+    assert!(!h.erase(&key("ioa")), "{name}: erase absent");
+    assert_eq!(h.find(&key("ioa")), None, "{name}: erased key gone");
+    assert!(
+        h.insert_or_update(&key("ioa"), &9, &add(9)).inserted(),
+        "{name}: reinsert"
+    );
+    assert_eq!(h.find(&key("ioa")), Some(9), "{name}: reinsert value");
 
     // Empty, unicode and long keys are ordinary keys.
-    assert!(h.insert("", 1), "{name}: empty key");
-    assert!(h.insert("wörter-zählen-🔢", 2), "{name}: unicode key");
+    assert!(h.insert(&key(""), &1), "{name}: empty key");
+    assert!(
+        h.insert(&key("wörter-zählen-🔢"), &2),
+        "{name}: unicode key"
+    );
     let long = "long-".repeat(4_000);
-    assert!(h.insert(&long, 3), "{name}: long key");
-    assert_eq!(h.find(""), Some(1), "{name}");
-    assert_eq!(h.find("wörter-zählen-🔢"), Some(2), "{name}");
+    assert!(h.insert(&long, &3), "{name}: long key");
+    assert_eq!(h.find(&key("")), Some(1), "{name}");
+    assert_eq!(h.find(&key("wörter-zählen-🔢")), Some(2), "{name}");
     assert_eq!(h.find(&long), Some(3), "{name}");
 
     h.quiesce();
 }
 
 /// Concurrent word-count exactness: after ingesting a Zipf word stream
-/// with `insert_or_add(word, 1)` from several threads, every word's count
-/// equals its number of occurrences and the counts sum to the stream
-/// length.  For growing tables the table starts tiny, so the ingest
-/// crosses several migrations.
-fn wordcount_exact<M: StringMap>(initial_capacity: usize, ops: usize, vocab: usize) {
+/// with `insert_or_update(word, 1, +1)` from several threads, every
+/// word's count equals its number of occurrences and the counts sum to
+/// the stream length.  For growing tables the table starts tiny, so the
+/// ingest crosses several migrations.
+fn wordcount_exact<M: GenericMap<String, u64>>(initial_capacity: usize, ops: usize, vocab: usize) {
     let name = M::map_name();
     let corpus = word_corpus(ops, vocab, 1.0, 0xC0DE);
     let expected = corpus.expected_counts();
@@ -93,7 +118,7 @@ fn wordcount_exact<M: StringMap>(initial_capacity: usize, ops: usize, vocab: usi
                 for (i, &w) in corpus.stream.iter().enumerate() {
                     if i % p == t {
                         let word = &corpus.vocabulary[w as usize];
-                        if h.insert_or_add(word, 1).inserted() {
+                        if h.insert_or_update(word, &1, &add_one).inserted() {
                             mine += 1;
                         }
                     }
@@ -108,16 +133,16 @@ fn wordcount_exact<M: StringMap>(initial_capacity: usize, ops: usize, vocab: usi
         distinct,
         "{name}: insertions != distinct words (duplicate or lost keys)"
     );
+    // With the insertion count pinned to the distinct words, checking
+    // every distinct word (a non-zero oracle entry) checks every key.
     let mut h = table.handle();
     let mut total = 0u64;
     for (word, &count) in corpus.vocabulary.iter().zip(&expected) {
-        let stored = h.find(word);
-        assert_eq!(
-            stored,
-            (count > 0).then_some(count),
-            "{name}: count for {word}"
-        );
-        total += stored.unwrap_or(0);
+        if count > 0 {
+            let stored = h.find(word);
+            assert_eq!(stored, Some(count), "{name}: count for {word}");
+            total += count;
+        }
     }
     assert_eq!(
         total as usize,
@@ -127,7 +152,7 @@ fn wordcount_exact<M: StringMap>(initial_capacity: usize, ops: usize, vocab: usi
 }
 
 /// Concurrent same-key insert races have exactly one winner.
-fn insert_race_single_winner<M: StringMap>() {
+fn insert_race_single_winner<M: GenericMap<String, u64>>() {
     let name = M::map_name();
     let table = M::with_capacity(4_096);
     let wins = std::sync::atomic::AtomicU64::new(0);
@@ -138,7 +163,7 @@ fn insert_race_single_winner<M: StringMap>() {
             s.spawn(move || {
                 let mut h = table.handle();
                 for i in 0..1_000u64 {
-                    if h.insert(&format!("race-{i}"), i) {
+                    if h.insert(&format!("race-{i}"), &i) {
                         wins.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                 }
@@ -153,13 +178,13 @@ fn insert_race_single_winner<M: StringMap>() {
 }
 
 /// Racing erases of the same keys: every key is erased exactly once.
-fn erase_race_single_winner<M: StringMap>() {
+fn erase_race_single_winner<M: GenericMap<String, u64>>() {
     let name = M::map_name();
     let table = M::with_capacity(4_096);
     {
         let mut h = table.handle();
         for i in 0..1_000u64 {
-            assert!(h.insert(&format!("del-{i}"), i));
+            assert!(h.insert(&format!("del-{i}"), &i));
         }
     }
     let erased = std::sync::atomic::AtomicU64::new(0);
@@ -195,14 +220,17 @@ fn erase_race_single_winner<M: StringMap>() {
 
 /// Signature collisions (distinct strings with equal 15-bit signatures
 /// colliding onto nearby cells) are resolved by the full key compare.
-fn values_survive_dense_collisions<M: StringMap>() {
+fn values_survive_dense_collisions<M: GenericMap<String, u64>>() {
     let name = M::map_name();
     // A small capacity forces long shared probe runs, so keys with equal
     // signatures and overlapping probe paths exercise the compare path.
     let table = M::with_capacity(2_048);
     let mut h = table.handle();
     for i in 0..1_500u64 {
-        assert!(h.insert(&format!("col-{i}"), i * 3 + 1), "{name}: col-{i}");
+        assert!(
+            h.insert(&format!("col-{i}"), &(i * 3 + 1)),
+            "{name}: col-{i}"
+        );
     }
     for i in 0..1_500u64 {
         assert_eq!(
@@ -250,16 +278,14 @@ macro_rules! string_conformance {
 }
 
 string_conformance!(string_folklore, StringKeyTable, 2_048);
-string_conformance!(string_grow, GrowingStringTable, 32);
+string_conformance!(string_grow, GrowMap<String, u64>, 32);
 
 #[test]
 fn growing_table_reports_growth() {
-    assert!(GrowingStringTable::growing());
-    assert!(!StringKeyTable::growing());
-    let table = GrowingStringTable::with_capacity(16);
+    let table: GrowMap<String, u64> = GrowMap::new(16);
     let mut h = table.handle();
     for i in 0..10_000u64 {
-        h.insert(&format!("g-{i}"), i);
+        h.insert(&format!("g-{i}"), &i);
     }
     assert!(
         table.migrations_completed() > 0,
