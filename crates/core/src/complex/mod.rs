@@ -46,6 +46,8 @@
 //! comparison whenever the signature already disagrees.
 
 mod bounded;
+#[cfg(test)]
+mod growing;
 
 pub use bounded::StringKeyTable;
 
