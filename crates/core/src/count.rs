@@ -2,11 +2,19 @@
 //!
 //! An exact, shared element counter would serialize every insertion on one
 //! cache line.  Instead each handle keeps local insertion/deletion counters
-//! and flushes them into the global counters `I` and `D` only every Θ(p)
-//! operations, with the flush threshold randomized to provably de-correlate
-//! the flushes.  `I` (the number of non-empty cells, i.e. insertions
+//! and flushes them into the global counters `I` and `D` only after a
+//! randomized number of operations, which de-correlates the flushes of
+//! different handles.  `I` (the number of non-empty cells, i.e. insertions
 //! including tombstones) drives the growth trigger; `I − D` estimates the
 //! live size.
+//!
+//! The paper draws the flush threshold from `[1, p]`, so at p = 2 a handle
+//! pays a contended `fetch_add` about every 1.5 insertions.
+//! The growing handles instead size the threshold with [`flush_bound`],
+//! which grows with the table's capacity: the error stays a fixed fraction
+//! (1/64) of the capacity, so the growth trigger fires at most that much
+//! late, and large tables write the shared line about once per 128
+//! operations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,24 +74,50 @@ impl GlobalCount {
     }
 }
 
-/// Handle-local counter with randomized flush threshold (§5.2: "between 1
-/// and p").
+/// Upper bound for the randomized flush threshold of a handle on a table
+/// generation of `capacity` cells used by about `threads` threads:
+/// `max(p, min(256, capacity / (64·p)))` with `p = threads.max(1)`.
+///
+/// The p handles together buffer fewer than `p · bound ≤ max(p²,
+/// capacity/64)` operations, so the growth trigger (checked on the
+/// flushed `I`) never fires early and fires at most `capacity/64` inserts
+/// late.  Tables of at most `64·p²` cells keep the paper's `p` bound (and
+/// its `p²` error) exactly; tables of at least `16384·p` cells flush about
+/// once per 128 operations.  This is the only place the policy is
+/// written: both growing handles call it when they are created and when
+/// they move to a new generation.
+pub fn flush_bound(threads: usize, capacity: usize) -> usize {
+    let p = threads.max(1);
+    p.max((capacity / (64 * p)).min(256))
+}
+
+/// Handle-local counter with randomized flush threshold, drawn from
+/// `[1, bound]` again after each flush.  The paper's bound is the thread
+/// count p; the growing handles pass [`flush_bound`].
+///
+/// The buffered counts belong to one table generation.  A migration
+/// counts the elements it copies exactly (`reset_after_migration`), so a
+/// handle that finds its generation replaced discards its buffer instead
+/// of flushing it.  One window stays open: a migration can finish between
+/// that version check and the flush, and then the stale buffer (at most
+/// `bound` operations) is added to the new generation's count.  The
+/// estimate is approximate anyway, so this is not synchronized away.
 #[derive(Debug)]
 pub struct LocalCount {
     pending_insertions: u32,
     pending_deletions: u32,
     threshold: u32,
-    /// Upper bound for the randomized threshold (≈ number of threads p).
+    /// Upper bound for the randomized threshold.
     threshold_bound: u32,
     /// Cheap handle-local RNG state for re-randomizing the threshold.
     rng_state: u64,
 }
 
 impl LocalCount {
-    /// Create a local counter for a table accessed by roughly
-    /// `threads` threads.
-    pub fn new(threads: usize, seed: u64) -> Self {
-        let bound = threads.clamp(1, u16::MAX as usize) as u32;
+    /// Create a local counter whose flush threshold is drawn from
+    /// `[1, bound]` (the paper: `bound` = the number of threads p).
+    pub fn new(bound: usize, seed: u64) -> Self {
+        let bound = bound.clamp(1, u16::MAX as usize) as u32;
         let mut counter = LocalCount {
             pending_insertions: 0,
             pending_deletions: 0,
@@ -160,6 +194,23 @@ mod tests {
             for seed in 0..20u64 {
                 let c = LocalCount::new(p, seed);
                 assert!(c.threshold >= 1 && c.threshold <= p as u32, "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn flush_bound_scales_with_capacity() {
+        // Tables of at most 64·p² cells keep the paper's bound p exactly.
+        assert_eq!(flush_bound(2, 256), 2);
+        assert_eq!(flush_bound(0, 64), 1);
+        // Larger ones buffer capacity/(64·p), capped at 256, never below p.
+        assert_eq!(flush_bound(2, 4096), 32);
+        assert_eq!(flush_bound(2, 1 << 22), 256);
+        assert_eq!(flush_bound(512, 1 << 22), 512);
+        for p in [1usize, 2, 7, 48] {
+            for shift in 1..30 {
+                let c = 1usize << shift;
+                assert!(p * flush_bound(p, c) <= (p * p).max(c / 64), "p={p} c={c}");
             }
         }
     }

@@ -49,7 +49,7 @@ use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY}
 use crate::complex::{decode_keyref, pack_keyref, signature_of, POINTER_BITS};
 use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
-use crate::count::{GlobalCount, LocalCount};
+use crate::count::{flush_bound, GlobalCount, LocalCount};
 
 // ---------------------------------------------------------------------------
 // Representation axes
@@ -979,9 +979,11 @@ pub struct GrowMapHandle<'a, K: KeyRepr, V: ValueRepr> {
 impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     fn new(inner: &'a GenericInner<K, V>) -> Self {
         let seed = inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
+        let cached = CachedArc::new(&inner.current);
+        let bound = flush_bound(inner.threads_hint, cached.cached().capacity);
         GrowMapHandle {
-            cached: CachedArc::new(&inner.current),
-            local: LocalCount::new(inner.threads_hint, seed),
+            cached,
+            local: LocalCount::new(bound, seed),
             qsbr: inner.domain.register(),
             since_quiesce: 0,
             inner,
@@ -999,18 +1001,19 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     ) -> &'t GenericArray<K, V> {
         let (array, refreshed) = cached.get_ref(&inner.current);
         if refreshed {
-            Self::reset_local_counts(local, inner);
+            Self::reset_local_counts(local, inner, array.capacity);
         }
         array
     }
 
     /// Refresh epilogue, once per handle per migration: pending local
     /// counts belong to an already-migrated generation whose elements the
-    /// migration counted exactly.
+    /// migration counted exactly, and the flush threshold is re-sized for
+    /// the new generation's capacity.
     #[cold]
-    fn reset_local_counts(local: &mut LocalCount, inner: &GenericInner<K, V>) {
+    fn reset_local_counts(local: &mut LocalCount, inner: &GenericInner<K, V>, capacity: usize) {
         *local = LocalCount::new(
-            inner.threads_hint,
+            flush_bound(inner.threads_hint, capacity),
             inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed),
         );
     }
@@ -1276,15 +1279,19 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         self.inner.counts.live_estimate() as usize
     }
 
-    /// Flush the handle's buffered counter contributions.
+    /// Flush the handle's buffered counter contributions.  Counts buffered
+    /// for a generation that has since been replaced are not flushed: the
+    /// migration already counted those elements.
     pub fn flush_counts(&mut self) {
-        self.local.flush(&self.inner.counts);
+        if self.cached.cached_version() == self.inner.current.version() {
+            self.local.flush(&self.inner.counts);
+        }
     }
 }
 
 impl<K: KeyRepr, V: ValueRepr> Drop for GrowMapHandle<'_, K, V> {
     fn drop(&mut self) {
-        self.local.flush(&self.inner.counts);
+        self.flush_counts();
         // The participant's own Drop unregisters it from the domain and
         // runs a final reclamation attempt.
     }
@@ -1628,5 +1635,57 @@ mod tests {
         assert_eq!(h.find(&(3, 4)), None);
         assert!(h.erase(&(1, 2)));
         assert_eq!(h.find(&(1, 2)), None);
+    }
+
+    #[test]
+    fn dropped_stale_handles_do_not_overcount() {
+        // Counts buffered for a generation that a migration has replaced
+        // were counted by the migration; flushing them again on drop would
+        // overcount the estimate.
+        let map: GrowMap<u64, u64> = GrowMap::with_config(4096, GrowConfig::default(), 64);
+        let mut idle: Vec<_> = (0..16u64)
+            .map(|i| {
+                let mut h = map.handle();
+                assert!(h.insert(&(2 + i), &i));
+                h
+            })
+            .collect();
+        let mut worker = map.handle();
+        for k in 100..20_100u64 {
+            assert!(worker.insert(&k, &k), "insert {k}");
+        }
+        assert!(map.migrations_completed() > 0, "never migrated");
+        worker.flush_counts();
+        idle.clear();
+        assert_eq!(map.size_estimate(), map.size_exact_quiescent());
+    }
+
+    #[test]
+    fn growth_fires_between_the_trigger_and_the_flush_slack() {
+        // Twin of the word table's test: a c-cell generation migrates after
+        // at least ⌈0.6·c⌉ and fewer than ⌈0.6·c⌉ + flush_bound(p, c)
+        // inserts of a single handle.
+        for p in [1usize, 2] {
+            let map: GrowMap<u64, u64> = GrowMap::with_config(32, GrowConfig::default(), p);
+            let mut h = map.handle();
+            let mut capacity = map.current_capacity();
+            let mut migrations = 0;
+            let mut inserted = 0u64;
+            while migrations < 8 {
+                inserted += 1;
+                assert!(h.insert(&(1 + inserted), &inserted));
+                if map.migrations_completed() > migrations {
+                    let trigger = (0.6 * capacity as f64).ceil() as u64;
+                    let slack = flush_bound(p, capacity) as u64;
+                    assert!(
+                        inserted >= trigger && inserted < trigger + slack,
+                        "p={p}: {capacity} cells migrated after {inserted} inserts, \
+                         trigger {trigger}, slack {slack}"
+                    );
+                    migrations += 1;
+                    capacity = map.current_capacity();
+                }
+            }
+        }
     }
 }

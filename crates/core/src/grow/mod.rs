@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use crate::cell::MAX_MARKABLE_KEY;
 use crate::config::{capacity_for, GrowConfig, HashSelect, ProbeSelect};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
-use crate::count::{GlobalCount, LocalCount};
+use crate::count::{flush_bound, GlobalCount, LocalCount};
 use crate::migrate::{migrate_block_exclusive, migrate_block_marking, migrate_block_rehash};
 use crate::table::{BoundedTable, EraseOutcome, InsertOutcome, UpdateOutcome, UpsertOutcome};
 
@@ -470,9 +470,11 @@ pub struct GrowHandle<'a> {
 impl<'a> GrowHandle<'a> {
     fn new(inner: &'a Inner) -> Self {
         let seed = inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed);
+        let cached = CachedArc::new(&inner.current);
+        let bound = flush_bound(inner.options.threads_hint, cached.cached().capacity());
         GrowHandle {
-            cached: CachedArc::new(&inner.current),
-            local: LocalCount::new(inner.options.threads_hint, seed),
+            cached,
+            local: LocalCount::new(bound, seed),
             shared: inner.register_handle(),
             inner,
         }
@@ -501,19 +503,20 @@ impl<'a> GrowHandle<'a> {
     ) -> &'t BoundedTable {
         let (table, refreshed) = cached.get_ref(&inner.current);
         if refreshed {
-            Self::reset_local_counts(local, inner);
+            Self::reset_local_counts(local, inner, table.capacity());
         }
         table
     }
 
     /// Refresh epilogue, once per handle per migration: pending local
     /// counts that belong to an already migrated generation are discarded
-    /// (the migration counted those elements exactly).  Out of line so the
-    /// cached branch of [`GrowHandle::table_ref`] stays tight.
+    /// (the migration counted those elements exactly), and the flush
+    /// threshold is re-sized for the new generation's capacity.  Out of
+    /// line so the cached branch of [`GrowHandle::table_ref`] stays tight.
     #[cold]
-    fn reset_local_counts(local: &mut LocalCount, inner: &Inner) {
+    fn reset_local_counts(local: &mut LocalCount, inner: &Inner, capacity: usize) {
         *local = LocalCount::new(
-            inner.options.threads_hint,
+            flush_bound(inner.options.threads_hint, capacity),
             inner.handle_seed.fetch_add(0x9E37_79B9, Ordering::Relaxed),
         );
     }
@@ -1017,15 +1020,19 @@ impl<'a> GrowHandle<'a> {
         self.inner.counts.live_estimate() as usize
     }
 
-    /// Flush the handle's buffered counter contributions.
+    /// Flush the handle's buffered counter contributions.  Counts buffered
+    /// for a generation that has since been replaced are not flushed: the
+    /// migration already counted those elements.
     pub fn flush_counts(&mut self) {
-        self.local.flush(&self.inner.counts);
+        if self.cached.cached_version() == self.inner.current.version() {
+            self.local.flush(&self.inner.counts);
+        }
     }
 }
 
 impl Drop for GrowHandle<'_> {
     fn drop(&mut self) {
-        self.local.flush(&self.inner.counts);
+        self.flush_counts();
         self.inner.deregister_handle(&self.shared);
     }
 }
@@ -1561,5 +1568,76 @@ mod tests {
         );
         assert_eq!(table.size_exact_quiescent(), distinct as usize);
         assert_eq!(total, threads * per_thread);
+    }
+
+    #[test]
+    fn dropped_stale_handles_do_not_overcount() {
+        // Counts buffered for a generation that a migration has replaced
+        // were counted by the migration; flushing them again on drop would
+        // overcount the estimate.
+        for (name, strategy, consistency) in [
+            ("uaGrow", GrowStrategy::Enslave, Consistency::AsyncMarking),
+            ("usGrow", GrowStrategy::Enslave, Consistency::Synchronized),
+        ] {
+            let opts = GrowingOptions {
+                strategy,
+                consistency,
+                threads_hint: 64,
+                ..GrowingOptions::default()
+            };
+            let table = GrowingTable::with_options(4096, opts);
+            let mut idle: Vec<_> = (0..16u64)
+                .map(|i| {
+                    let mut h = table.handle();
+                    assert!(h.insert(2 + i, i));
+                    h
+                })
+                .collect();
+            let mut worker = table.handle();
+            for k in 100..20_100u64 {
+                assert!(worker.insert(k, k), "{name}: insert {k}");
+            }
+            assert!(table.migrations_completed() > 0, "{name}: never migrated");
+            worker.flush_counts();
+            idle.clear();
+            assert_eq!(
+                table.size_estimate(),
+                table.size_exact_quiescent(),
+                "{name}: estimate after dropping stale handles"
+            );
+        }
+    }
+
+    #[test]
+    fn growth_fires_between_the_trigger_and_the_flush_slack() {
+        // A single handle sees its own flushes exactly, so the migration of
+        // a c-cell generation starts after at least ⌈0.6·c⌉ inserts (the
+        // paper's α) and fewer than ⌈0.6·c⌉ + flush_bound(p, c).
+        for p in [1usize, 2] {
+            let opts = GrowingOptions {
+                threads_hint: p,
+                ..GrowingOptions::default()
+            };
+            let table = GrowingTable::with_options(32, opts);
+            let mut handle = table.handle();
+            let mut capacity = table.current_capacity();
+            let mut migrations = 0;
+            let mut inserted = 0u64;
+            while migrations < 8 {
+                inserted += 1;
+                assert!(handle.insert(1 + inserted, inserted));
+                if table.migrations_completed() > migrations {
+                    let trigger = (0.6 * capacity as f64).ceil() as u64;
+                    let slack = flush_bound(p, capacity) as u64;
+                    assert!(
+                        inserted >= trigger && inserted < trigger + slack,
+                        "p={p}: {capacity} cells migrated after {inserted} inserts, \
+                         trigger {trigger}, slack {slack}"
+                    );
+                    migrations += 1;
+                    capacity = table.current_capacity();
+                }
+            }
+        }
     }
 }

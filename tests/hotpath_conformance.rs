@@ -12,7 +12,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use growt_core::{Consistency, GrowStrategy, GrowingOptions, GrowingTable, HashSelect};
+use growt_core::{
+    Consistency, GrowConfig, GrowMap, GrowStrategy, GrowingOptions, GrowingTable, HashSelect,
+};
 
 fn options(strategy: GrowStrategy, consistency: Consistency) -> GrowingOptions {
     GrowingOptions {
@@ -162,6 +164,48 @@ fn batch_fast_path_takes_no_shared_refcount() {
     assert_eq!(table.generation_acquire_count(), acquires);
     assert_eq!(table.generation_strong_count(), baseline);
     assert_eq!(table.migrations_completed(), 0, "test invalidated");
+}
+
+/// The approximate counter is the one shared line the insert path writes
+/// (§5.2).  On a table far from its growth trigger a handle buffers up to
+/// `flush_bound` inserts per flush, so a burst of 20,000 inserts from one
+/// handle may change the global estimate (one change per flush) at most
+/// once per 32 inserts on average.
+#[test]
+fn insert_burst_flushes_the_global_counter_rarely() {
+    const INSERTS: u64 = 20_000;
+    const MAX_FLUSHES: usize = INSERTS as usize / 32;
+
+    fn flushes(mut insert_then_estimate: impl FnMut(u64) -> usize) -> usize {
+        let mut last = insert_then_estimate(2);
+        let mut changes = 0;
+        for k in 3..2 + INSERTS {
+            let estimate = insert_then_estimate(k);
+            changes += usize::from(estimate != last);
+            last = estimate;
+        }
+        changes
+    }
+
+    for (name, opts) in all_variants() {
+        let table = GrowingTable::with_options(1 << 17, opts);
+        let mut handle = table.handle();
+        let changes = flushes(|k| {
+            assert!(handle.insert(k, k));
+            table.size_estimate()
+        });
+        assert_eq!(table.migrations_completed(), 0, "{name}: test invalidated");
+        assert!(changes <= MAX_FLUSHES, "{name}: {changes} flushes");
+    }
+
+    let map: GrowMap<u64, u64> = GrowMap::with_config(1 << 17, GrowConfig::default(), 4);
+    let mut handle = map.handle();
+    let changes = flushes(|k| {
+        assert!(handle.insert(&k, &k));
+        map.size_estimate()
+    });
+    assert_eq!(map.migrations_completed(), 0, "GrowMap: test invalidated");
+    assert!(changes <= MAX_FLUSHES, "GrowMap: {changes} flushes");
 }
 
 /// Reclamation contract behind the borrow refactor: after operations on N
