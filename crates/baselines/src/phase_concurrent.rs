@@ -16,9 +16,13 @@
 //! The phase discipline itself is the caller's obligation (the paper's
 //! benchmarks satisfy it); this implementation documents — but cannot
 //! enforce — that obligation, exactly like the original library.
+//!
+//! Cells are the growt 16-byte [`Cell`]s: every insert writes ⟨key,
+//! value⟩ with one double-word CAS, both when it claims an empty cell and
+//! when it displaces a smaller key, so concurrent inserters displacing
+//! through the same cells never pair a key with another key's value.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use growt_core::cell::Cell;
 use growt_iface::{
     Capabilities, ConcurrentMap, GrowthSupport, InsertOrUpdate, InterfaceStyle, Key, MapHandle,
     Value,
@@ -30,8 +34,7 @@ const EMPTY: u64 = 0;
 
 /// Phase-concurrent linear probing hash table.
 pub struct PhaseConcurrent {
-    keys: Vec<AtomicU64>,
-    values: Vec<AtomicU64>,
+    cells: Vec<Cell>,
     capacity: usize,
 }
 
@@ -50,6 +53,12 @@ impl PhaseConcurrent {
     fn next(&self, index: usize) -> usize {
         (index + 1) & (self.capacity - 1)
     }
+
+    /// Overwrite the whole cell with one pair CAS (deletion phase moves).
+    fn store_pair(&self, index: usize, key: u64, value: u64) {
+        let cell = &self.cells[index];
+        while cell.cas_pair(cell.read(), (key, value)).is_err() {}
+    }
 }
 
 impl ConcurrentMap for PhaseConcurrent {
@@ -58,8 +67,7 @@ impl ConcurrentMap for PhaseConcurrent {
     fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity_for(capacity);
         PhaseConcurrent {
-            keys: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
-            values: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
+            cells: (0..capacity).map(|_| Cell::new()).collect(),
             capacity,
         }
     }
@@ -92,39 +100,27 @@ impl MapHandle for PhaseConcurrentHandle<'_> {
         let mut value = v;
         let mut index = t.home(key);
         for _ in 0..t.capacity {
-            let stored = t.keys[index].load(Ordering::Acquire);
-            if stored == key {
-                return false;
-            }
-            if stored == EMPTY {
-                match t.keys[index].compare_exchange(
-                    EMPTY,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        t.values[index].store(value, Ordering::Release);
-                        return true;
-                    }
-                    Err(_) => continue,
+            let cell = &t.cells[index];
+            loop {
+                let (stored, stored_value) = cell.read();
+                if stored == key {
+                    return false;
                 }
-            }
-            // Keep the larger key in the earlier cell (history independence).
-            if stored < key && stored != EMPTY {
-                match t.keys[index].compare_exchange(
-                    stored,
-                    key,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        let displaced_value = t.values[index].swap(value, Ordering::AcqRel);
-                        key = stored;
-                        value = displaced_value;
+                if stored == EMPTY {
+                    match cell.cas_pair((EMPTY, stored_value), (key, value)) {
+                        Ok(()) => return true,
+                        Err(_) => continue, // re-examine the claimed cell
                     }
-                    Err(_) => continue,
                 }
+                // Keep the larger key in the earlier cell (history
+                // independence); the displaced pair moves on together.
+                if stored < key {
+                    match cell.cas_pair((stored, stored_value), (key, value)) {
+                        Ok(()) => (key, value) = (stored, stored_value),
+                        Err(_) => continue,
+                    }
+                }
+                break;
             }
             index = t.next(index);
         }
@@ -136,12 +132,12 @@ impl MapHandle for PhaseConcurrentHandle<'_> {
         let t = self.table;
         let mut index = t.home(k);
         for _ in 0..t.capacity {
-            let stored = t.keys[index].load(Ordering::Acquire);
+            let (stored, value) = t.cells[index].read();
             if stored == EMPTY {
                 return None;
             }
             if stored == k {
-                return Some(t.values[index].load(Ordering::Acquire));
+                return Some(value);
             }
             // Priority order: once we see a smaller key, ours cannot follow.
             if stored < k {
@@ -159,13 +155,12 @@ impl MapHandle for PhaseConcurrentHandle<'_> {
         let t = self.table;
         let mut index = t.home(k);
         for _ in 0..t.capacity {
-            let stored = t.keys[index].load(Ordering::Acquire);
+            let (stored, cur) = t.cells[index].read();
             if stored == EMPTY || stored < k {
                 return false;
             }
             if stored == k {
-                let cur = t.values[index].load(Ordering::Acquire);
-                t.values[index].store(_up(cur, d), Ordering::Release);
+                t.cells[index].store_value(_up(cur, d));
                 return true;
             }
             index = t.next(index);
@@ -208,7 +203,7 @@ impl MapHandle for PhaseConcurrentHandle<'_> {
         let mut index = t.home(k);
         // Find the element.
         loop {
-            let stored = t.keys[index].load(Ordering::Acquire);
+            let stored = t.cells[index].load_key();
             if stored == EMPTY || stored < k {
                 return false;
             }
@@ -226,10 +221,10 @@ impl MapHandle for PhaseConcurrentHandle<'_> {
             // Find the next element that may legally move into the hole: its
             // home position must be at or before the hole.
             loop {
-                let ck = t.keys[candidate].load(Ordering::Acquire);
+                let (ck, cv) = t.cells[candidate].read();
                 if ck == EMPTY {
                     // Nothing can fill the hole: clear it.
-                    t.keys[hole].store(EMPTY, Ordering::Release);
+                    t.store_pair(hole, EMPTY, 0);
                     return true;
                 }
                 let home = t.home(ck);
@@ -242,9 +237,7 @@ impl MapHandle for PhaseConcurrentHandle<'_> {
                     home <= hole || hole <= candidate
                 };
                 if passes {
-                    let cv = t.values[candidate].load(Ordering::Acquire);
-                    t.values[hole].store(cv, Ordering::Release);
-                    t.keys[hole].store(ck, Ordering::Release);
+                    t.store_pair(hole, ck, cv);
                     hole = candidate;
                     break;
                 }
@@ -336,6 +329,39 @@ mod tests {
         }
         for i in 20_000 - window..20_000 {
             assert_eq!(h.find(i + 2), Some(i));
+        }
+    }
+
+    #[test]
+    fn concurrent_displacements_keep_keys_paired_with_their_values() {
+        // Two inserters of interleaved keys into a table at load 0.73:
+        // priority displacements through the same cells race constantly,
+        // and a displaced key must carry its own value onwards, never the
+        // value of the key that displaced it.  A mis-pairing shows up in
+        // about one round in a hundred when key and value move in two
+        // steps.
+        const PER_THREAD: u64 = 6_000;
+        let value_of = |k: u64| k ^ 0xABCD;
+        for round in 0..1_000 {
+            let t = PhaseConcurrent::with_capacity(PER_THREAD as usize);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for lane in 0..2u64 {
+                    let (t, start) = (&t, &start);
+                    s.spawn(move || {
+                        let mut h = t.handle();
+                        start.wait();
+                        for i in 0..PER_THREAD {
+                            let k = 2 + 2 * i + lane;
+                            assert!(h.insert(k, value_of(k)), "insert {k}");
+                        }
+                    });
+                }
+            });
+            let mut h = t.handle();
+            for k in 2..2 + 2 * PER_THREAD {
+                assert_eq!(h.find(k), Some(value_of(k)), "round {round}: key {k}");
+            }
         }
     }
 }

@@ -129,7 +129,9 @@ impl StringKeyTable {
                 loop {
                     let current = load_published_key(&cell.keyref);
                     if current == EMPTY {
-                        let ptr = *allocation.0.get_or_insert_with(|| allocate_key(key));
+                        let ptr = *allocation
+                            .0
+                            .get_or_insert_with(|| allocate_key(hash, key.as_bytes()));
                         let packed = pack_keyref(signature, ptr);
                         match cell.keyref.compare_exchange(
                             EMPTY,
@@ -166,7 +168,7 @@ impl StringKeyTable {
                         break;
                     }
                     // SAFETY: published references stay alive until drop.
-                    if unsafe { key_matches(current, signature, key) } {
+                    if unsafe { key_matches(current, signature, hash, key.as_bytes()) } {
                         break 'probe TryInsert::Present;
                     }
                     break;
@@ -191,7 +193,9 @@ impl StringKeyTable {
                 return None;
             }
             // SAFETY: published references stay alive until drop.
-            if current != TOMBSTONE && unsafe { key_matches(current, signature, key) } {
+            if current != TOMBSTONE
+                && unsafe { key_matches(current, signature, hash, key.as_bytes()) }
+            {
                 return Some(cell.value.load(Ordering::Acquire));
             }
             index = (index + 1) & (self.capacity - 1);
@@ -215,7 +219,9 @@ impl StringKeyTable {
                 return false;
             }
             // SAFETY: published references stay alive until drop.
-            if current != TOMBSTONE && unsafe { key_matches(current, signature, key) } {
+            if current != TOMBSTONE
+                && unsafe { key_matches(current, signature, hash, key.as_bytes()) }
+            {
                 let mut old = cell.value.load(Ordering::Acquire);
                 while let Err(seen) = cell.value.compare_exchange_weak(
                     old,
@@ -309,7 +315,9 @@ impl StringKeyTable {
                 return false;
             }
             // SAFETY: published references stay alive until drop.
-            if current != TOMBSTONE && unsafe { key_matches(current, signature, key) } {
+            if current != TOMBSTONE
+                && unsafe { key_matches(current, signature, hash, key.as_bytes()) }
+            {
                 match cell.keyref.compare_exchange(
                     current,
                     TOMBSTONE,

@@ -19,12 +19,14 @@
 //!   unpublished value and a concurrent `update` can never lose its
 //!   result to a late value store.
 //! * The growing, deleting string table is
-//!   [`crate::generic::GrowMap`]`<String, u64>`: its keys live in
-//!   `KeyBox<String>` allocations behind the same packed reference, its
-//!   cells are published with one double-word CAS, it grows through the
-//!   shared §12 coordinator, and erased keys are freed through a QSBR
-//!   domain ([`growt_reclaim::QsbrDomain`]) so no concurrent reader can
-//!   dereference freed key bytes.
+//!   [`crate::generic::GrowMap`]`<String, u64>`: its keys live in the same
+//!   key allocations behind the same packed reference, its cells are
+//!   published with one double-word CAS, it grows through the shared §12
+//!   coordinator, and erased keys are freed through a QSBR domain
+//!   ([`growt_reclaim::QsbrDomain`]) so no concurrent reader can
+//!   dereference freed key bytes.  Every boxed `KeyRepr` type
+//!   (`(u32, u32)` too) is stored this way, as the bytes its
+//!   `KeyRepr::key_bytes` yields.
 //!
 //! ## Key reference layout
 //!
@@ -39,11 +41,25 @@
 //!   [`crate::cell::DEL_KEY`] and the migration [`crate::cell::MARK_BIT`]
 //!   all live outside the packed range.
 //!
-//! [`StringKeyTable`]'s key allocation is a length-prefixed byte buffer
-//! `⟨len: u64, bytes⟩`; `GrowMap`'s `KeyBox` additionally stores the full
-//! master hash, which is what lets a migration *re-derive the target
-//! cell* of a reference without re-hashing the key.  Probes skip the byte
-//! comparison whenever the signature already disagrees.
+//! ## Key allocation layout
+//!
+//! Each key is **one** heap block, written once by `allocate_key` and
+//! never modified until `free_key`:
+//!
+//! ```text
+//! offset 0   hash: u64   full master hash
+//! offset 8   len:  u64   byte length of the key
+//! offset 16  bytes: [u8; len]
+//! ```
+//!
+//! The stored hash lets a migration *re-derive the target cell* of a
+//! reference without re-hashing the key, and is a second pre-filter after
+//! the signature: `key_matches` compares signature (no dereference),
+//! then hash and length (one header read), then bytes.  The bytes are a
+//! key's identity: a table stores only them, so two keys must be equal
+//! exactly when their bytes are.
+
+use std::alloc::Layout;
 
 mod bounded;
 #[cfg(test)]
@@ -96,14 +112,43 @@ pub(crate) fn decode_keyref(keyref: u64) -> (u64, *const u8) {
     (keyref >> POINTER_BITS, (keyref & POINTER_MASK) as *const u8)
 }
 
-/// Allocate a key as a `⟨len, bytes⟩` buffer and leak it; the raw pointer
-/// is what gets packed into the table.  Freed with [`free_key`].
-fn allocate_key(key: &str) -> *const u8 {
-    let mut buf = Vec::with_capacity(8 + key.len());
-    buf.extend_from_slice(&(key.len() as u64).to_le_bytes());
-    buf.extend_from_slice(key.as_bytes());
-    let boxed: Box<[u8]> = buf.into_boxed_slice();
-    Box::into_raw(boxed) as *const u8
+/// Bytes of a key allocation's header: the master hash, then the key's
+/// byte length, both native-endian `u64`s.
+const KEY_HEADER_BYTES: usize = 16;
+
+/// Layout of the key allocation for a key of `len` bytes.
+#[inline]
+fn key_layout(len: usize) -> Layout {
+    Layout::from_size_align(KEY_HEADER_BYTES + len, 8).expect("key too long to allocate")
+}
+
+/// Allocate a key as one `⟨hash, len, bytes⟩` block and leak it; the raw
+/// pointer is what gets packed into the table.  Freed with [`free_key`].
+pub(crate) fn allocate_key(hash: u64, key: &[u8]) -> *const u8 {
+    let layout = key_layout(key.len());
+    // SAFETY: the layout has a non-zero size (the header); the writes stay
+    // inside the fresh allocation, whose 8-byte alignment covers the
+    // header words.
+    unsafe {
+        let ptr = std::alloc::alloc(layout);
+        if ptr.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        ptr.cast::<u64>().write(hash);
+        ptr.cast::<u64>().add(1).write(key.len() as u64);
+        std::ptr::copy_nonoverlapping(key.as_ptr(), ptr.add(KEY_HEADER_BYTES), key.len());
+        ptr
+    }
+}
+
+/// Master hash stored in the allocation header.
+///
+/// # Safety
+///
+/// `ptr` must come from [`allocate_key`] and not have been freed.
+#[inline]
+pub(crate) unsafe fn stored_hash(ptr: *const u8) -> u64 {
+    unsafe { ptr.cast::<u64>().read() }
 }
 
 /// Key length stored in the allocation header.
@@ -113,7 +158,7 @@ fn allocate_key(key: &str) -> *const u8 {
 /// `ptr` must come from [`allocate_key`] and not have been freed.
 #[inline]
 unsafe fn stored_len(ptr: *const u8) -> usize {
-    unsafe { u64::from_le_bytes(std::ptr::read(ptr as *const [u8; 8])) as usize }
+    unsafe { ptr.cast::<u64>().add(1).read() as usize }
 }
 
 /// Key bytes stored in the allocation.
@@ -124,23 +169,27 @@ unsafe fn stored_len(ptr: *const u8) -> usize {
 /// returned slice must not outlive the allocation.
 #[inline]
 unsafe fn stored_bytes<'a>(ptr: *const u8) -> &'a [u8] {
-    unsafe { std::slice::from_raw_parts(ptr.add(8), stored_len(ptr)) }
+    unsafe { std::slice::from_raw_parts(ptr.add(KEY_HEADER_BYTES), stored_len(ptr)) }
 }
 
-/// Compare the stored key behind a packed word against `key`, using the
-/// signature as the cheap §5.7 pre-filter: a mismatching signature decides
-/// the comparison without dereferencing the pointer.
+/// Compare the stored key behind a packed word against the key with
+/// master hash `hash` and bytes `key`.  The cheap checks go first: a
+/// mismatching signature decides without dereferencing the pointer (the
+/// §5.7 pre-filter), then the stored hash and length, read from the same
+/// header, decide before the bytes are compared.
 ///
 /// # Safety
 ///
 /// `keyref` must be a packed word whose allocation is still alive.
 #[inline]
-unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
+pub(crate) unsafe fn key_matches(keyref: u64, signature: u64, hash: u64, key: &[u8]) -> bool {
     let (stored_sig, ptr) = decode_keyref(keyref);
     if stored_sig != signature {
         return false;
     }
-    unsafe { stored_bytes(ptr) == key.as_bytes() }
+    // SAFETY: the allocation is alive per the contract above.  Slice
+    // equality compares the stored length before any byte.
+    unsafe { stored_hash(ptr) == hash && stored_bytes(ptr) == key }
 }
 
 /// Free a key allocation created by [`allocate_key`].
@@ -149,12 +198,9 @@ unsafe fn key_matches(keyref: u64, signature: u64, key: &str) -> bool {
 ///
 /// `ptr` must come from [`allocate_key`], must not have been freed, and no
 /// other thread may still dereference it (the bounded table frees only on
-/// drop).
-unsafe fn free_key(ptr: *const u8) {
-    unsafe {
-        let slice = std::ptr::slice_from_raw_parts_mut(ptr as *mut u8, stored_len(ptr) + 8);
-        drop(Box::from_raw(slice));
-    }
+/// drop, `GrowMap` through its QSBR domain).
+pub(crate) unsafe fn free_key(ptr: *const u8) {
+    unsafe { std::alloc::dealloc(ptr as *mut u8, key_layout(stored_len(ptr))) }
 }
 
 #[cfg(test)]
@@ -163,8 +209,9 @@ mod tests {
 
     #[test]
     fn pack_round_trips_and_stays_unmarked() {
-        let ptr = allocate_key("round-trip");
-        let sig = signature_of(hash_str("round-trip"));
+        let hash = hash_str("round-trip");
+        let ptr = allocate_key(hash, b"round-trip");
+        let sig = signature_of(hash);
         let packed = pack_keyref(sig, ptr);
         assert!(packed >= 1 << POINTER_BITS, "packed word below 2^48");
         assert_eq!(packed & crate::cell::MARK_BIT, 0, "mark bit must be clear");
@@ -173,10 +220,13 @@ mod tests {
         assert_eq!(p2, ptr);
         // SAFETY: freshly allocated above, freed exactly once below.
         unsafe {
-            assert_eq!(stored_bytes(ptr), "round-trip".as_bytes());
-            assert!(key_matches(packed, sig, "round-trip"));
-            assert!(!key_matches(packed, sig ^ 1, "round-trip"));
-            assert!(!key_matches(packed, sig, "round-trap"));
+            assert_eq!(stored_hash(ptr), hash);
+            assert_eq!(stored_bytes(ptr), b"round-trip");
+            assert!(key_matches(packed, sig, hash, b"round-trip"));
+            assert!(!key_matches(packed, sig ^ 1, hash, b"round-trip"));
+            assert!(!key_matches(packed, sig, hash ^ 1, b"round-trip"));
+            assert!(!key_matches(packed, sig, hash, b"round-trap"));
+            assert!(!key_matches(packed, sig, hash, b"round-tri"));
             free_key(ptr);
         }
     }
@@ -192,9 +242,10 @@ mod tests {
     #[test]
     fn empty_and_long_keys_survive_allocation() {
         for key in ["", "x", &"y".repeat(100_000)] {
-            let ptr = allocate_key(key);
+            let ptr = allocate_key(hash_str(key), key.as_bytes());
             // SAFETY: freshly allocated above, freed exactly once below.
             unsafe {
+                assert_eq!(stored_hash(ptr), hash_str(key));
                 assert_eq!(stored_bytes(ptr), key.as_bytes());
                 free_key(ptr);
             }

@@ -12,7 +12,8 @@
 //!   compares one integer, exactly the cell ops of `GrowingTable`);
 //!   everything else is stored out of line behind the §5.7 packed
 //!   reference `signature << 48 | pointer` ([`crate::complex`]), pointing
-//!   at a [`KeyBox`]`<K>` that holds the master hash and the typed key.
+//!   at one `⟨hash, len, bytes⟩` allocation that holds the master hash and
+//!   the bytes [`KeyRepr::key_bytes`] yields for the key.
 //! * [`ValueRepr`] — how a value maps onto the cell's **value word**.
 //!   Word-sized values encode inline (atomic updates are one full-cell
 //!   CAS); larger values live in a plain heap box whose raw pointer is
@@ -24,10 +25,10 @@
 //!
 //! * **publication** is a double-word CAS of `⟨key word, value word⟩`
 //!   into an empty cell, so there is no in-flight window at all;
-//! * **reclamation** is QSBR-deferred: erased key boxes and replaced or
-//!   erased value boxes are retired into the table's [`QsbrDomain`] and
-//!   freed only after every handle has passed a quiescent state, so no
-//!   concurrent probe can dereference freed memory.  Within one
+//! * **reclamation** is QSBR-deferred: erased key allocations and
+//!   replaced or erased value boxes are retired into the table's
+//!   [`QsbrDomain`] and freed only after every handle has passed a
+//!   quiescent state, so no concurrent probe can dereference freed memory.  Within one
 //!   operation a handle never quiesces, which also makes the
 //!   read–derive–CAS update loop ABA-safe: the old value pointer cannot
 //!   be freed and reallocated while the updater still holds it.
@@ -35,8 +36,8 @@
 //! Growth is not reimplemented here: [`GenericInner`]'s [`GrowProtocol`]
 //! impl instantiates the shared coordinator with a block copy that
 //! re-derives each element's home cell from the master hash (stored in
-//! the key box, or recomputed from the inline word) — a rehash migration,
-//! correct for growth, cleanup and shrink steps alike.
+//! the key allocation, or recomputed from the inline word) — a rehash
+//! migration, correct for growth, cleanup and shrink steps alike.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,7 +47,10 @@ use growt_iface::{GenericMap, GenericMapHandle, InsertOrUpdate, TryGrowError};
 use growt_reclaim::{CachedArc, QsbrDomain, QsbrParticipant, VersionedArc};
 
 use crate::cell::{is_marked, unmark, Cell, DEL_KEY, EMPTY_KEY, MAX_MARKABLE_KEY};
-use crate::complex::{decode_keyref, pack_keyref, signature_of, POINTER_BITS};
+use crate::complex::{
+    allocate_key, decode_keyref, free_key, key_matches, pack_keyref, signature_of, stored_hash,
+    POINTER_BITS,
+};
 use crate::config::{capacity_for, hash_key, scale_to_capacity, GrowConfig, PROBE_LIMIT};
 use crate::coord::{Coordinator, GrowProtocol, MigrationJob};
 use crate::count::{flush_bound, GlobalCount, LocalCount};
@@ -65,10 +69,15 @@ use crate::count::{flush_bound, GlobalCount, LocalCount};
 ///   mark), and round-trip through [`KeyRepr::decode`].  Provided for
 ///   `u64` (identity, reserved encodings rejected) and `u32` (shifted by
 ///   the two sentinels, so the full `u32` range is usable).
-/// * **boxed** (`INLINE = false`, the default): the key is cloned into a
-///   heap [`KeyBox`] and the word is the §5.7 packed reference
-///   `signature << 48 | pointer`.  Only [`KeyRepr::hash64`] can be
-///   customized; the packing is shared.
+/// * **boxed** (`INLINE = false`, the default): the bytes of
+///   [`KeyRepr::key_bytes`] are copied into one heap allocation behind a
+///   header holding the master hash and the byte length, and the word is
+///   the §5.7 packed reference `signature << 48 | pointer` to it
+///   ([`crate::complex`] holds the layout, shared with the bounded string
+///   table).  The map stores and compares only the bytes, so the encoding
+///   must be injective: **two keys are equal exactly when their bytes
+///   are**.  Provided for `String` (its UTF-8 bytes) and `(u32, u32)`
+///   (the 8 little-endian bytes of its packed word).
 ///
 /// The master hash must be **deterministic and process-wide consistent**
 /// (every thread must agree on a key's home cell); the default goes
@@ -80,8 +89,8 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
 
     /// The master hash (§5.7): the scaled top bits choose the home cell;
     /// for boxed keys the low bits provide the signature and the full
-    /// value is stored in the key box so migrations re-derive home cells
-    /// without touching the key itself.
+    /// value is stored in the key allocation so migrations re-derive home
+    /// cells without touching the key itself.
     fn hash64(&self) -> u64 {
         use std::hash::Hasher;
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -97,6 +106,13 @@ pub trait KeyRepr: Clone + Eq + std::hash::Hash + Send + Sync + 'static {
     /// Decode an inline cell word back into the key.
     fn decode(_word: u64) -> Self {
         unreachable!("KeyRepr::decode is only called when INLINE is true")
+    }
+
+    /// The bytes a boxed key is stored and compared as, without
+    /// allocating.  Equal keys must yield equal bytes and distinct keys
+    /// distinct bytes.
+    fn key_bytes(&self) -> impl AsRef<[u8]> + '_ {
+        unreachable!("KeyRepr::key_bytes is only called when INLINE is false") as &[u8]
     }
 }
 
@@ -154,16 +170,32 @@ impl KeyRepr for String {
     fn hash64(&self) -> u64 {
         crate::complex::hash_str(self)
     }
+
+    #[inline]
+    fn key_bytes(&self) -> impl AsRef<[u8]> + '_ {
+        self.as_bytes()
+    }
 }
 
 impl KeyRepr for (u32, u32) {
-    /// Pairs pack into one word for hashing (not for storage: 64 bits of
-    /// payload cannot share a word with the sentinels and the mark bit,
-    /// so pair keys are boxed).
+    /// Pairs pack into one word for hashing (not for cell storage: 64 bits
+    /// of payload cannot share a word with the sentinels and the mark
+    /// bit, so pair keys are boxed as that word's bytes).
     #[inline]
     fn hash64(&self) -> u64 {
-        hash_key((u64::from(self.0) << 32) | u64::from(self.1))
+        hash_key(pair_word(*self))
     }
+
+    #[inline]
+    fn key_bytes(&self) -> impl AsRef<[u8]> + '_ {
+        pair_word(*self).to_le_bytes()
+    }
+}
+
+/// The word a pair key packs into: first half high, second half low.
+#[inline]
+fn pair_word((hi, lo): (u32, u32)) -> u64 {
+    (u64::from(hi) << 32) | u64::from(lo)
 }
 
 /// How a value type maps onto the cell's value word.
@@ -241,21 +273,6 @@ impl<const N: usize> ValueRepr for [u64; N] {}
 // Out-of-line allocations
 // ---------------------------------------------------------------------------
 
-/// The heap allocation behind a boxed key: the full master hash (so
-/// migrations re-derive home cells and probes pre-filter on hash equality
-/// without touching `K`) plus the typed key.
-struct KeyBox<K> {
-    hash: u64,
-    key: K,
-}
-
-/// Pointer of a packed boxed-key word.
-#[inline]
-fn key_box_ptr<K>(word: u64) -> *mut KeyBox<K> {
-    let (_, ptr) = decode_keyref(word);
-    ptr as *mut KeyBox<K>
-}
-
 /// `true` when an (unmarked) boxed-key word is a published packed
 /// reference (sentinels are `< 2`, packed words are `≥ 2⁴⁸`).
 #[inline]
@@ -279,19 +296,19 @@ unsafe fn read_value<V: ValueRepr>(word: u64) -> V {
     }
 }
 
-/// An erased key box retired into the QSBR domain: dropping it (after
-/// every handle quiesced, or at domain teardown) frees the allocation
-/// exactly once.
-struct RetiredKey<K>(*mut KeyBox<K>);
+/// An erased key allocation retired into the QSBR domain: dropping it
+/// (after every handle quiesced, or at domain teardown) frees the
+/// allocation exactly once.
+struct RetiredKey(*const u8);
 
-// SAFETY: the box is plain heap memory; the wrapper is only dropped when
-// no thread can still dereference the pointer.
-unsafe impl<K: Send> Send for RetiredKey<K> {}
+// SAFETY: the key allocation is plain immutable bytes; the wrapper is only
+// dropped when no thread can still dereference the pointer.
+unsafe impl Send for RetiredKey {}
 
-impl<K> Drop for RetiredKey<K> {
+impl Drop for RetiredKey {
     fn drop(&mut self) {
         // SAFETY: by construction the wrapper holds the only free right.
-        unsafe { drop(Box::from_raw(self.0)) };
+        unsafe { free_key(self.0) };
     }
 }
 
@@ -312,21 +329,31 @@ impl<V> Drop for RetiredValue<V> {
 // The per-operation probe context
 // ---------------------------------------------------------------------------
 
+/// The bytes of a boxed key, taken once per operation and borrowed by
+/// its [`Probe`] (`None` for inline keys, which compare encoded words).
+#[inline]
+fn key_bytes_of<K: KeyRepr>(key: &K) -> Option<impl AsRef<[u8]> + '_> {
+    (!K::INLINE).then(|| key.key_bytes())
+}
+
 /// Everything an operation derives from its key once, up front: the
 /// master hash, and either the encoded inline word or the 15-bit packing
-/// signature.  The `K::INLINE` branches below are monomorphized away, so
-/// the inline instantiation probes with one integer compare per cell —
-/// the same cell ops as the word table.
+/// signature plus the key's bytes.  The `K::INLINE` branches below are
+/// monomorphized away, so the inline instantiation probes with one integer
+/// compare per cell — the same cell ops as the word table.
 struct Probe<'k, K: KeyRepr> {
     hash: u64,
     /// Inline keys: the encoded cell word.  Boxed keys: the signature.
     word_or_sig: u64,
-    key: &'k K,
+    /// Boxed keys: the key's bytes.  Inline keys: empty.
+    bytes: &'k [u8],
+    _key: PhantomData<fn(&K)>,
 }
 
 impl<'k, K: KeyRepr> Probe<'k, K> {
+    /// `bytes` is [`key_bytes_of`]`(key)`.
     #[inline]
-    fn new(key: &'k K) -> Self {
+    fn new<B: AsRef<[u8]>>(key: &K, bytes: &'k Option<B>) -> Self {
         let hash = key.hash64();
         let word_or_sig = if K::INLINE {
             key.encode()
@@ -336,7 +363,8 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
         Probe {
             hash,
             word_or_sig,
-            key,
+            bytes: bytes.as_ref().map_or(&[], AsRef::as_ref),
+            _key: PhantomData,
         }
     }
 
@@ -352,17 +380,8 @@ impl<'k, K: KeyRepr> Probe<'k, K> {
         if K::INLINE {
             k == self.word_or_sig
         } else {
-            if !is_packed(k) {
-                return false;
-            }
-            let (sig, ptr) = decode_keyref(k);
-            if sig != self.word_or_sig {
-                return false;
-            }
-            // SAFETY: QSBR-protected per the contract above.  The stored
-            // hash is a second pre-filter before the typed comparison.
-            let stored = unsafe { &*(ptr as *const KeyBox<K>) };
-            stored.hash == self.hash && stored.key == *self.key
+            // SAFETY: QSBR-protected per the contract above.
+            is_packed(k) && unsafe { key_matches(k, self.word_or_sig, self.hash, self.bytes) }
         }
     }
 }
@@ -387,18 +406,14 @@ impl<K: KeyRepr, V: ValueRepr> PendingCell<K, V> {
         }
     }
 
-    /// The key word to publish, allocating the key box at most once.
+    /// The key word to publish, allocating the key at most once.
     #[inline]
     fn key_word(&mut self, probe: &Probe<'_, K>) -> u64 {
         if K::INLINE {
             probe.word_or_sig
         } else {
             *self.key_word.get_or_insert_with(|| {
-                let ptr = Box::into_raw(Box::new(KeyBox {
-                    hash: probe.hash,
-                    key: probe.key.clone(),
-                }));
-                pack_keyref(probe.word_or_sig, ptr as *const u8)
+                pack_keyref(probe.word_or_sig, allocate_key(probe.hash, probe.bytes))
             })
         }
     }
@@ -427,7 +442,7 @@ impl<K: KeyRepr, V: ValueRepr> Drop for PendingCell<K, V> {
     fn drop(&mut self) {
         if let Some(word) = self.key_word.take() {
             // SAFETY: allocated by this operation and never published.
-            unsafe { drop(Box::from_raw(key_box_ptr::<K>(word))) };
+            unsafe { free_key(decode_keyref(word).1) };
         }
         if let Some(word) = self.value_word.take() {
             // SAFETY: allocated by this operation and never published.
@@ -700,7 +715,7 @@ impl<K: KeyRepr, V: ValueRepr> GenericArray<K, V> {
 
 /// Freeze the cells `[block_start, block_end)` of `src` and re-insert the
 /// live elements into `dst`, re-deriving each home cell from the master
-/// hash (stored in the key box for boxed keys, recomputed from the
+/// hash (stored in the key allocation for boxed keys, recomputed from the
 /// decoded word for inline ones).  The rehash migration path — correct
 /// for any capacity ratio, including cleanup and shrink steps.  Returns
 /// the number of live elements moved.
@@ -729,10 +744,10 @@ fn migrate_generic_block<K: KeyRepr, V: ValueRepr>(
         let hash = if K::INLINE {
             K::decode(k).hash64()
         } else {
-            // SAFETY: the reference was live when frozen; erased boxes
+            // SAFETY: the reference was live when frozen; erased keys
             // are only freed after all handles quiesce, and migrating
             // threads quiesce only between operations.
-            unsafe { (*key_box_ptr::<K>(k)).hash }
+            unsafe { stored_hash(decode_keyref(k).1) }
         };
         let mut pos = dst.home_cell(hash);
         let mut walked = 0usize;
@@ -937,9 +952,9 @@ impl<K: KeyRepr, V: ValueRepr> Drop for GrowMap<K, V> {
                 let plain = unmark(k);
                 if plain > DEL_KEY {
                     if !K::INLINE {
-                        // SAFETY: exclusive access; live boxes are owned
+                        // SAFETY: exclusive access; live keys are owned
                         // by the subsystem and freed exactly here.
-                        unsafe { drop(Box::from_raw(key_box_ptr::<K>(plain))) };
+                        unsafe { free_key(decode_keyref(plain).1) };
                     }
                     if !V::INLINE {
                         // SAFETY: as above — tombstoned cells' value
@@ -1063,8 +1078,7 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     #[inline]
     fn retire_erased(&mut self, key_word: u64, value_word: u64) {
         if !K::INLINE {
-            self.qsbr
-                .retire(RetiredKey::<K>(key_box_ptr::<K>(key_word)));
+            self.qsbr.retire(RetiredKey(decode_keyref(key_word).1));
         }
         if !V::INLINE {
             self.qsbr.retire(RetiredValue::<V>(value_word as *mut V));
@@ -1081,7 +1095,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
 
     /// Insert `⟨key, value⟩`; returns `true` iff the key was not present.
     pub fn insert(&mut self, key: &K, value: &V) -> bool {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let mut pending = PendingCell::new();
         let inserted = loop {
             let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
@@ -1110,7 +1125,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// error; the map stays valid and keeps serving its current
     /// generation.
     pub fn try_insert(&mut self, key: &K, value: &V) -> Result<bool, TryGrowError> {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let mut pending = PendingCell::new();
         let result = loop {
             let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
@@ -1138,7 +1154,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// (frozen, immutable) generation, which is linearizable exactly like
     /// the word table's stale reads.
     pub fn find(&mut self, key: &K) -> Option<V> {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
         let found = array.find(&probe);
         self.op_done();
@@ -1150,7 +1167,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// concurrent interleaving with other updaters, erasers or migrations
     /// can lose an update.
     pub fn update<F: Fn(&V) -> V>(&mut self, key: &K, up: F) -> bool {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let updated = loop {
             let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
             let version = array.version;
@@ -1180,7 +1198,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         value: &V,
         up: F,
     ) -> InsertOrUpdate {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let mut pending = PendingCell::new();
         let outcome = loop {
             let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
@@ -1214,7 +1233,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
         value: &V,
         up: F,
     ) -> Result<InsertOrUpdate, TryGrowError> {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let mut pending = PendingCell::new();
         let result = loop {
             let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
@@ -1245,7 +1265,8 @@ impl<'a, K: KeyRepr, V: ValueRepr> GrowMapHandle<'a, K, V> {
     /// allocations into the QSBR domain (freed once every handle has
     /// passed a quiescent state, §5.4 + §5.7).
     pub fn erase(&mut self, key: &K) -> bool {
-        let probe = Probe::new(key);
+        let bytes = key_bytes_of(key);
+        let probe = Probe::new(key, &bytes);
         let erased = loop {
             let array = Self::array_ref(&mut self.cached, &mut self.local, self.inner);
             let version = array.version;
@@ -1584,7 +1605,7 @@ mod tests {
 
     #[test]
     fn readers_race_erasers_safely() {
-        // Readers dereference key boxes while an eraser concurrently
+        // Readers dereference key allocations while an eraser concurrently
         // retires them into the QSBR domain; under the quiescence protocol
         // no probe may ever touch freed memory (any use-after-free
         // corrupts the key compare and fails the value assertions).
@@ -1635,6 +1656,98 @@ mod tests {
         assert_eq!(h.find(&(3, 4)), None);
         assert!(h.erase(&(1, 2)));
         assert_eq!(h.find(&(1, 2)), None);
+    }
+
+    /// Drive every key through insert, find, update, erase and reinsert on
+    /// a 16-cell map, with at least one growth migration between the steps.
+    fn exercise_boxed_keys<K: KeyRepr + std::fmt::Debug>(keys: &[K], filler: impl Fn(u64) -> K) {
+        let map: GrowMap<K, u64> = GrowMap::with_config(8, GrowConfig::default(), 1);
+        assert_eq!(map.current_capacity(), 16);
+        let mut h = map.handle();
+        let mut fillers = 0u64;
+        let mut migrate = |h: &mut GrowMapHandle<'_, K, u64>| {
+            let before = map.migrations_completed();
+            while map.migrations_completed() == before {
+                assert!(h.insert(&filler(fillers), &u64::MAX));
+                fillers += 1;
+            }
+        };
+        let n = keys.len() as u64;
+        for (i, key) in (0..n).zip(keys) {
+            assert!(h.insert(key, &i), "insert {key:?}");
+        }
+        migrate(&mut h);
+        for (i, key) in (0..n).zip(keys) {
+            assert_eq!(h.find(key), Some(i), "find {key:?}");
+            assert!(!h.insert(key, &u64::MAX), "duplicate insert {key:?}");
+            assert!(h.update(key, |v| v + n), "update {key:?}");
+        }
+        migrate(&mut h);
+        for (i, key) in (0..n).zip(keys) {
+            assert_eq!(h.find(key), Some(i + n), "find updated {key:?}");
+            assert!(h.erase(key), "erase {key:?}");
+            assert_eq!(h.find(key), None, "find erased {key:?}");
+            assert!(!h.erase(key), "erase erased {key:?}");
+            assert!(!h.update(key, |v| v + 1), "update erased {key:?}");
+        }
+        migrate(&mut h);
+        for (i, key) in (0..n).zip(keys) {
+            assert_eq!(h.find(key), None, "erased {key:?} came back");
+            let reinserted = h.insert_or_update(key, &(i + 2 * n), |v| v + 1);
+            assert!(reinserted.inserted(), "reinsert {key:?}");
+        }
+        migrate(&mut h);
+        for (i, key) in (0..n).zip(keys) {
+            assert_eq!(h.find(key), Some(i + 2 * n), "find reinserted {key:?}");
+        }
+        assert!(map.migrations_completed() >= 4);
+        assert_eq!(map.size_exact_quiescent(), keys.len() + fillers as usize);
+    }
+
+    #[test]
+    fn boxed_string_edge_cases_survive_migrations() {
+        // The empty key, a prefix chain (equal prefixes, different
+        // lengths), a key far larger than a page, and multi-byte UTF-8.
+        let keys: Vec<String> = [
+            "",
+            "a",
+            "ab",
+            "abc",
+            "größe",
+            "日本語",
+            "🦀",
+            "e\u{301}",
+            "\u{e9}",
+        ]
+        .into_iter()
+        .map(String::from)
+        .chain([String::from_utf8(vec![b'x'; 100_000]).unwrap()])
+        .collect();
+        exercise_boxed_keys(&keys, |i| format!("filler-{i}"));
+    }
+
+    #[test]
+    fn signature_collisions_resolved_by_full_compare() {
+        // Two distinct keys with the same 15-bit signature and the same
+        // home cell in a 16-cell table (equal top 4 hash bits), so one
+        // probes past the other and only the full compare tells them apart.
+        let home_and_sig = |k: &str| {
+            let hash = crate::complex::hash_str(k);
+            (hash >> 60, signature_of(hash))
+        };
+        let a = "collide-0".to_string();
+        let b = (1..4_000_000)
+            .map(|i| format!("collide-{i}"))
+            .find(|c| home_and_sig(c) == home_and_sig(&a))
+            .expect("no signature collision among 4M candidates");
+        exercise_boxed_keys(&[a, b], |i| format!("filler-{i}"));
+    }
+
+    #[test]
+    fn pair_key_edge_cases_survive_migrations() {
+        // Swapped halves must stay distinct keys.
+        let keys = [(1, 2), (2, 1), (0, u32::MAX), (u32::MAX, 0), (0, 0)];
+        exercise_boxed_keys(&keys, |i| (i as u32 + 10, 7));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::time::Duration;
 use growt_baselines::FollyStyle;
 use growt_core::complex::StringKeyTable;
 use growt_core::{GrowMap, GrowStrategy, GrowingOptions, GrowingTable};
-use growt_failpoints::{clear_all, configure, hits, remove, Action, ThreadExit, Trigger};
+use growt_failpoints::{clear_all, configure, fire, hits, remove, Action, ThreadExit, Trigger};
 use growt_iface::{ConcurrentMap, MapHandle};
 use growt_workloads::with_watchdog;
 
@@ -550,6 +550,21 @@ fn qsbr_limbo_drains_after_eraser_thread_exit() {
     });
 }
 
+/// Take the one-time allocations of the first injected thread exit before
+/// a leak baseline: with `RUST_BACKTRACE` set, the panic hook of the
+/// first unwind fills std's backtrace symbol cache (several MB, kept for
+/// the process lifetime).
+fn warm_up_thread_exit() {
+    configure("warmup.exit", Action::ExitThread, Trigger::Once);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let payload = catch_unwind(|| fire("warmup.exit")).expect_err("must unwind");
+            assert!(payload.is::<ThreadExit>());
+        });
+    });
+    remove("warmup.exit");
+}
+
 /// End-to-end leak check on the growing string table
 /// (`GrowMap<String, u64>`): a writer killed mid-migration, erases, QSBR
 /// draining, then the table drops — and the tracked heap returns to its
@@ -559,7 +574,8 @@ fn qsbr_limbo_drains_after_eraser_thread_exit() {
 fn string_migration_thread_exit_leaks_nothing() {
     serialized("string-thread-exit-leak", || {
         // Warm up one-time lazy allocations (failpoint registry map,
-        // thread bookkeeping) so they don't pollute the accounting below.
+        // thread bookkeeping, the panic machinery) so they don't pollute
+        // the accounting below.
         {
             let warm: GrowMap<String, u64> = GrowMap::new(64);
             let mut handle = warm.handle();
@@ -567,6 +583,7 @@ fn string_migration_thread_exit_leaks_nothing() {
             configure("warmup.noop", Action::Yield(0), Trigger::Once);
             clear_all();
         }
+        warm_up_thread_exit();
 
         let baseline = growt_alloc_track::current_bytes();
         {
@@ -646,6 +663,7 @@ fn generic_migration_thread_exit_leaks_nothing() {
             configure("warmup.noop", Action::Yield(0), Trigger::Once);
             clear_all();
         }
+        warm_up_thread_exit();
 
         let baseline = growt_alloc_track::current_bytes();
         {
